@@ -47,7 +47,6 @@ from .composition import (
     composition_matrix,
     scan_trigpoly_theorem,
     u_entry,
-    u_entry_oracle,
 )
 from .symmetry import (
     FAIL,

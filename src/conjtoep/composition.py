@@ -4,14 +4,15 @@ For a fixed ``alpha`` in the punctured open disc, the unitary weighted
 composition operator with weight ``sqrt(1-|alpha|^2)/(1-z*conj(alpha))`` and
 symbol ``(conj(alpha)/alpha)(alpha-z)/(1-conj(alpha)z)`` composed with
 coordinatewise conjugation is a conjugation whose coefficient matrix is dense
-with geometrically decaying entries.  This module provides three independent
+with geometrically decaying entries.  This module provides two independent
 routes to those entries:
 
 - ``u_entry``: the closed-form finite sum with exact integer binomials,
-- ``u_entry_oracle``: direct power-series expansion by repeated convolution,
 - ``composition_matrix``: a stable multiply-by-the-Blaschke-factor column
   recurrence used for bulk materialization (the closed form suffers
   catastrophic cancellation at extreme indices; the recurrence does not).
+
+A third, power-series route serves as the test suite's oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .hardy import LaurentSymbol, toeplitz_matrix
 __all__ = [
     "CompositionParams",
     "u_entry",
-    "u_entry_oracle",
     "composition_matrix",
     "column_tails",
     "check_w_symmetry_conditions",
@@ -82,46 +82,6 @@ def u_entry(params: CompositionParams, i: int, j: int) -> complex:
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ConjtoepError("index out of supported range")
     return value
-
-
-def _truncated_convolve(f: np.ndarray, g: np.ndarray, terms: int) -> np.ndarray:
-    return np.convolve(f, g)[:terms]
-
-
-def u_entry_oracle(
-    params: CompositionParams, i: int, j: int, series_terms: int | None = None
-) -> complex:
-    """Series-expansion route to ``<W z^i, z^j>``.
-
-    Expands ``(alpha - z)^i`` and ``(1 - conj(alpha) z)^(-(i+1))`` as power
-    series by repeated convolution and reads off coefficient ``j`` of the
-    product, scaled by ``(conj(alpha)/alpha)^i * sqrt(1-|alpha|^2)``.  No
-    binomial is ever evaluated, so this is independent of ``u_entry``.
-    Truncated convolutions are exact for every retained coefficient, so
-    ``series_terms`` only needs to exceed ``j``; the default also honours the
-    geometric-tail heuristic ``|alpha|^terms < 1e-16``.  The final Cauchy
-    sum cancels as strongly as the closed form does, so the series is run in
-    extended precision too.
-    """
-    if i < 0 or j < 0:
-        raise ConjtoepError("indices must be nonnegative")
-    a = np.clongdouble(params.alpha)
-    ac = np.conj(a)
-    if series_terms is None:
-        ratio = abs(params.alpha)
-        geom_terms = int(math.ceil(-16 * math.log(10) / math.log(ratio))) if ratio < 1 else 64
-        series_terms = max(j + 1, i + 1, geom_terms)
-    terms = max(series_terms, j + 1)
-
-    geometric = ac ** np.arange(terms)
-    denominator = geometric.copy()
-    for _ in range(i):
-        denominator = _truncated_convolve(denominator, geometric, terms)
-    numerator = np.array([1.0], dtype=np.clongdouble)
-    for _ in range(i):
-        numerator = np.convolve(numerator, np.array([a, np.clongdouble(-1.0)]))
-    series = _truncated_convolve(numerator, denominator, terms)
-    return complex(params.beta * (ac / a) ** i * series[j])
 
 
 def composition_matrix(params: CompositionParams, degree: int) -> np.ndarray:

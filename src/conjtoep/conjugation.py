@@ -52,6 +52,7 @@ __all__ = [
     "is_conjugation",
     "apply_conjugation",
     "canonical_factorization",
+    "shift_columns",
     "shift_from_conjugation",
     "intertwine_lambda",
     "working_coefficients",
@@ -387,20 +388,27 @@ def canonical_factorization(
     return u
 
 
+def shift_columns(a: np.ndarray, count: int) -> np.ndarray:
+    """Leading ``count`` columns of ``C M_z C`` for the coefficient matrix ``a``.
+
+    Column ``n`` is ``C z C e_n = a conj(z a e_n)``: apply C, shift up by one
+    coefficient, apply C again.
+    """
+    shifted = np.zeros((a.shape[0], count), dtype=np.complex128)
+    shifted[1:] = a[:-1, :count]
+    return a @ np.conj(shifted)
+
+
 def shift_from_conjugation(c: Conjugation, degree: int | None = None) -> ShiftOperator:
     """Truncation of the shift obtained by conjugating coordinate multiplication.
 
-    Columns are computed by the anti-linear calculus: apply C, shift up by
-    one coefficient, apply C again.  The result satisfies
+    Columns come from :func:`shift_columns`.  The result satisfies
     ``S f_n = f_{n+1}`` for the fixed-point-adjacent basis ``f_n = U e_n``.
     """
     n_deg = c.degree if degree is None else degree
     if n_deg > c.degree:
         raise ConjtoepError("requested degree exceeds the materialized conjugation")
-    a = c.coeff[: n_deg + 1, : n_deg + 1]
-    shifted = np.zeros_like(a)
-    shifted[1:, :] = a[:-1, :]
-    s = a @ np.conj(shifted)
+    s = shift_columns(c.coeff[: n_deg + 1, : n_deg + 1], n_deg + 1)
     band = None
     if isinstance(c.decay, Banded):
         band = min(2 * c.decay.band + 1, n_deg)

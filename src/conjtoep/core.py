@@ -75,9 +75,6 @@ class Window:
         if not self.fits(shape):
             raise WindowError("window exceeds matrix")
 
-    def clip(self, shape: tuple[int, int]) -> "Window":
-        return Window(min(self.max_row, shape[0] - 1), min(self.max_col, shape[1] - 1))
-
 
 @dataclass(frozen=True)
 class Tolerance:

@@ -13,6 +13,7 @@ import numpy as np
 
 from .conjugation import Conjugation, ExactFinite, canonical_factorization
 from .core import ConjtoepError, require_matrix
+from .hardy import LaurentSymbol, toeplitz_matrix
 
 __all__ = [
     "FiniteToeplitz",
@@ -48,12 +49,9 @@ class FiniteToeplitz:
         return self.a.get(k, 0j)
 
     def matrix(self) -> np.ndarray:
-        n = self.size_minus_one + 1
-        m = np.zeros((n, n), dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                m[i, j] = self.value(i - j)
-        return m
+        """Entry ``(i, j)`` is ``a_{i-j}``: the Toeplitz truncation of the
+        Laurent polynomial with these coefficients."""
+        return toeplitz_matrix(LaurentSymbol(self.a), self.size_minus_one).matrix
 
     def l1_norm(self) -> float:
         return float(sum(abs(v) for v in self.a.values()))

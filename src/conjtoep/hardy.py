@@ -25,8 +25,10 @@ __all__ = [
     "LaurentSymbol",
     "TruncatedOperator",
     "ShiftOperator",
+    "toeplitz_gather",
     "toeplitz_matrix",
     "is_toeplitz",
+    "compression_residual",
     "s_toeplitz_residual",
 ]
 
@@ -139,23 +141,35 @@ class ShiftOperator:
         return float(np.linalg.norm(gram - np.eye(max_col + 1)))
 
 
+def toeplitz_gather(coefficients: dict, codes: np.ndarray) -> TruncatedOperator:
+    """Toeplitz truncation gathered from a coefficient table by index difference.
+
+    ``codes`` are integer codes of the retained modes, additive in the index,
+    and ``coefficients`` maps codes to symbol coefficients; entry ``(p, q)``
+    is the coefficient at ``codes[p] - codes[q]``.  Compressing a
+    multiplication operator never mixes the retained coefficients, so the
+    truncation is exact everywhere.
+    """
+    span = int(np.ptp(codes))
+    table = np.zeros(2 * span + 1, dtype=np.complex128)
+    for c, v in coefficients.items():
+        if -span <= c <= span:
+            table[c + span] = v
+    diff = codes[:, None] - codes[None, :]
+    diff += span
+    n = codes.size
+    return TruncatedOperator(table[diff], n - 1, Window.full(n))
+
+
 def toeplitz_matrix(phi: LaurentSymbol, degree: int) -> TruncatedOperator:
     """Truncation of the Toeplitz operator with the given symbol.
 
-    Entry ``(q, p)`` is ``phi_{q-p}``; because compressing a multiplication
-    operator never mixes the retained coefficients, every entry of the
-    truncation equals the untruncated entry and the exact window is full.
+    Entry ``(q, p)`` is ``phi_{q-p}``: :func:`toeplitz_gather` with each
+    index as its own code.
     """
     if degree < 0:
         raise ConjtoepError("degree must be nonnegative")
-    n = degree + 1
-    table = np.zeros(2 * n - 1, dtype=np.complex128)
-    for k, v in phi.coefficients.items():
-        if -degree <= k <= degree:
-            table[k + n - 1] = v
-    diff = np.arange(n)[:, None] - np.arange(n)[None, :]
-    m = table[diff + n - 1]
-    return TruncatedOperator(m, degree, Window.full(n))
+    return toeplitz_gather(phi.coefficients, np.arange(degree + 1))
 
 
 def is_toeplitz(t, w: Window, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[bool, float]:
@@ -178,6 +192,18 @@ def is_toeplitz(t, w: Window, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[bool,
     return residual <= tol.threshold(max(1.0, scale)), residual
 
 
+def compression_residual(t: np.ndarray, s: np.ndarray, w: Window) -> float:
+    """Frobenius norm of ``S^H T S - T`` on a window.
+
+    Reads only the leading ``max(w.max_row, w.max_col) + 1`` columns of
+    ``s``, so callers may pass just those columns of the shift.
+    """
+    left = s[:, : w.max_row + 1]
+    right = s[:, : w.max_col + 1]
+    product = left.conj().T @ (t @ right)
+    return float(np.linalg.norm(product - t[: w.max_row + 1, : w.max_col + 1]))
+
+
 def s_toeplitz_residual(t: TruncatedOperator, s: ShiftOperator, w: Window) -> float:
     """Frobenius norm of ``S^H T S - T`` restricted to a window.
 
@@ -195,6 +221,4 @@ def s_toeplitz_residual(t: TruncatedOperator, s: ShiftOperator, w: Window) -> fl
         needed = max(w.max_row, w.max_col) + 1 + s.band
         if needed > min(t.exact.max_row, t.exact.max_col):
             raise ExactnessError("exactness window violated")
-    product = s.matrix.conj().T @ t.matrix @ s.matrix
-    diff = (product - t.matrix)[: w.max_row + 1, : w.max_col + 1]
-    return float(np.linalg.norm(diff))
+    return compression_residual(t.matrix, s.matrix, w)

@@ -10,14 +10,15 @@ modules and agree with them bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .conjugation import Banded, Conjugation, diagonal_phase
-from .core import ConjtoepError, Tolerance, DEFAULT_TOLERANCE, Window
-from .hardy import TruncatedOperator
+from .core import ConjtoepError, Tolerance, DEFAULT_TOLERANCE
+from .hardy import TruncatedOperator, toeplitz_gather
 from .symmetry import FAIL, INCONCLUSIVE, PASS, definition_residual
 
 __all__ = [
@@ -133,31 +134,44 @@ class BoxTruncation:
     def unflat(self, position: int) -> tuple:
         return self.indices[position]
 
+    @cached_property
+    def _index_array(self) -> np.ndarray:
+        """The enumeration as a ``(size, d)`` integer array."""
+        return np.array(self.indices, dtype=np.intp).reshape(self.size, self.d)
+
+    @cached_property
+    def _places(self) -> np.ndarray:
+        """Mixed-radix place values, radix ``2 n_i + 1`` on axis ``i``: the code
+        ``k . places`` then determines every difference of box indices."""
+        radix = [2 * n + 1 for n in self.degrees]
+        return np.array([math.prod(radix[i + 1 :]) for i in range(self.d)], dtype=np.intp)
+
+    @cached_property
+    def _codes(self) -> np.ndarray:
+        return self._index_array @ self._places
+
     def window_positions(self, bounds) -> np.ndarray:
         """Flat positions of the sub-box ``k_i <= bounds_i``."""
-        bounds = tuple(bounds)
-        keep = [
-            i
-            for i, k in enumerate(self.indices)
-            if all(c <= b for c, b in zip(k, bounds))
-        ]
-        return np.array(keep, dtype=np.intp)
+        bounds = np.asarray(tuple(bounds), dtype=np.intp)
+        if bounds.shape != (self.d,):
+            raise ConjtoepError("window bounds must have the box dimension")
+        return np.flatnonzero(np.all(self._index_array <= bounds, axis=1))
 
 
 def poly_toeplitz(phi: PolySymbol, box: BoxTruncation) -> TruncatedOperator:
-    """Flat matrix with entry ``(flat(k), flat(l)) = phi(k - l)``; exact everywhere."""
+    """Flat matrix with entry ``(flat(k), flat(l)) = phi(k - l)``; exact everywhere.
+
+    :func:`conjtoep.hardy.toeplitz_gather` on the box's mixed-radix codes;
+    for a one-variable box this is exactly ``toeplitz_matrix``.
+    """
     if phi.d != box.d:
         raise ConjtoepError("symbol and box dimensions differ")
-    idx = box.indices
-    n = box.size
-    m = np.zeros((n, n), dtype=np.complex128)
-    for col, l in enumerate(idx):
-        for row, k in enumerate(idx):
-            diff = tuple(a - b for a, b in zip(k, l))
-            v = phi.coefficients.get(diff)
-            if v is not None:
-                m[row, col] = v
-    return TruncatedOperator(m, n - 1, Window.full(n))
+    coded = {
+        int(np.dot(k, box._places)): v
+        for k, v in phi.coefficients.items()
+        if all(abs(c) <= n for c, n in zip(k, box.degrees))
+    }
+    return toeplitz_gather(coded, box._codes)
 
 
 def poly_conjugation(theta, xi, box: BoxTruncation) -> Conjugation:
@@ -248,18 +262,6 @@ def poly_check_definition(
     return PolyDefinitionResult(verdict, residual, tilde_mismatch, window)
 
 
-def _axis_shift(box: BoxTruncation, axis: int) -> np.ndarray:
-    """Flat matrix of multiplication by the axis coordinate (boundary columns drop)."""
-    n = box.size
-    m = np.zeros((n, n), dtype=np.complex128)
-    for i, k in enumerate(box.indices):
-        if k[axis] < box.degrees[axis]:
-            up = list(k)
-            up[axis] += 1
-            m[box.flat(tuple(up)), i] = 1.0
-    return m
-
-
 def doubly_commuting_residual(conj: Conjugation, box: BoxTruncation, window=None) -> dict:
     """Shift-tuple diagnostics for ``S_i = C M_{z_i} C``.
 
@@ -273,11 +275,18 @@ def doubly_commuting_residual(conj: Conjugation, box: BoxTruncation, window=None
     if window is None:
         window = tuple(max(0, n - 1) for n in box.degrees)
     positions = box.window_positions(window)
+    # M_{z_i} moves row flat(k) to flat(k + e_i), whose code is one place
+    # value higher; rows with k_i = n_i leave the box
+    a = conj.coeff
+    codes = box._codes
+    position_of = np.zeros(int(codes.max()) + 1, dtype=np.intp)
+    position_of[codes] = np.arange(box.size)
     shifts = []
     for axis in range(box.d):
-        mz = _axis_shift(box, axis)
-        shifted = conj.coeff @ np.conj(mz @ conj.coeff)
-        shifts.append(shifted)
+        src = np.flatnonzero(box._index_array[:, axis] < box.degrees[axis])
+        shifted = np.zeros(a.shape, dtype=np.complex128)
+        shifted[position_of[codes[src] + box._places[axis]]] = a[src]
+        shifts.append(a @ np.conj(shifted, out=shifted))
 
     commute = 0.0
     star = 0.0

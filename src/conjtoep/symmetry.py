@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conjugation import Conjugation, materialize, working_coefficients
+from .conjugation import Conjugation, materialize, shift_columns, working_coefficients
 from .core import (
     ConjtoepError,
     ExactnessError,
@@ -41,7 +41,7 @@ from .core import (
     DEFAULT_TOLERANCE,
     Window,
 )
-from .hardy import LaurentSymbol, is_toeplitz, toeplitz_matrix
+from .hardy import LaurentSymbol, compression_residual, is_toeplitz, toeplitz_matrix
 
 __all__ = [
     "PASS",
@@ -344,22 +344,16 @@ def check_conjugated_toeplitz(
 
 
 def _coefficient_equations(plan: _Plan) -> CriterionResult:
-    a = plan.a_work
-    phi = plan.phi
-    band = phi.band
+    # For 0 <= j, k <= jk_max the identity reads
+    #   sum_n conj(phi_{n-k}) A[n, j] = sum_m A[k, m] conj(phi_{m-j}),
+    # i.e. entry (k, j) of T^H A = A conj(T); every sum stops at index
+    # jk_max + band, so only those leading rows and columns are read.
     jk = plan.jk_max
-    residual = 0.0
-    for k in range(jk + 1):
-        for j in range(jk + 1):
-            lhs = 0j
-            for n in range(max(0, k - band), k + band + 1):
-                lhs += phi.coefficient(n - k).conjugate() * a[n, j]
-            rhs = 0j
-            for n in range(1, band + 1):
-                rhs += phi.coefficient(n).conjugate() * a[k, n + j]
-            for ell in range(0, min(j, band) + 1):
-                rhs += phi.coefficient(-ell).conjugate() * a[k, j - ell]
-            residual = max(residual, abs(lhs - rhs))
+    rows = jk + plan.phi.band + 1
+    t = plan.t_work[:rows, : jk + 1]
+    lhs = t.conj().T @ plan.a_work[:rows, : jk + 1]
+    rhs = plan.a_work[: jk + 1, :rows] @ np.conj(t)
+    residual = float(np.max(np.abs(lhs - rhs)))
     verdict = _decide(residual, plan.threshold, 0.0)
     return CriterionResult(verdict, residual, 0.0, {"jk_max": jk})
 
@@ -376,6 +370,27 @@ def check_coefficient_equations(
     always decisive.
     """
     return _coefficient_equations(_make_plan(phi, conj, config))
+
+
+def _xy_matrices(a: np.ndarray, ks: np.ndarray, trunc: int, rows: int):
+    """The :func:`build_xy` matrices with rows ``j = 0..rows`` for every ``k``
+    in ``ks``, stacked on a leading axis and gathered from the coefficient
+    array ``a`` by index arithmetic."""
+    k = ks[:, None, None]
+    j = np.arange(rows + 1)[None, :, None]
+    m = np.arange(1, trunc + 1)[None, None, :]
+    x = a[m + k, j] - a[k, m + j]
+    y = np.where(m <= j, a[k, np.maximum(j - m, 0)], 0) - np.where(
+        m <= k, a[np.maximum(k - m, 0), j], 0
+    )
+    return x, y
+
+
+def _phi_vectors(phi: LaurentSymbol, trunc: int) -> tuple[np.ndarray, np.ndarray]:
+    """``Phi+ = (conj(phi_n))_{n=1..trunc}`` and ``Phi- = (conj(phi_{-n}))_{n=1..trunc}``."""
+    plus = np.array([phi.coefficient(n).conjugate() for n in range(1, trunc + 1)])
+    minus = np.array([phi.coefficient(-n).conjugate() for n in range(1, trunc + 1)])
+    return plus, minus
 
 
 def build_xy(
@@ -398,95 +413,36 @@ def build_xy(
     if k < 0 or trunc < 1:
         raise ConjtoepError("k must be nonnegative and trunc positive")
     n_rows = (trunc + k) if rows is None else rows
-    a = conj.coeff
     needed = max(trunc + k, k, n_rows, trunc + n_rows)
     if needed > conj.degree:
         raise ExactnessError("exactness window violated")
-    x = np.zeros((n_rows + 1, trunc), dtype=np.complex128)
-    y = np.zeros((n_rows + 1, trunc), dtype=np.complex128)
-    for j in range(n_rows + 1):
-        for n in range(1, trunc + 1):
-            x[j, n - 1] = a[n + k, j] - a[k, n + j]
-        for m in range(1, trunc + 1):
-            val = 0j
-            if m <= j:
-                val += a[k, j - m]
-            if m <= k:
-                val -= a[k - m, j]
-            y[j, m - 1] = val
-    if phi is None:
-        plus = np.zeros(trunc, dtype=np.complex128)
-        minus = np.zeros(trunc, dtype=np.complex128)
-    else:
-        plus = np.array([phi.coefficient(n).conjugate() for n in range(1, trunc + 1)])
-        minus = np.array([phi.coefficient(-n).conjugate() for n in range(1, trunc + 1)])
-    return XYSystem(k, x, y, plus, minus)
-
-
-def _xy_residual(a: np.ndarray, phi: LaurentSymbol, k: int, jk: int, trunc: int) -> float:
-    residual = 0.0
-    for j in range(jk + 1):
-        lhs = 0j
-        rhs = 0j
-        for n in range(1, trunc + 1):
-            lhs += (a[n + k, j] - a[k, n + j]) * phi.coefficient(n).conjugate()
-        for m in range(1, trunc + 1):
-            val = 0j
-            if m <= j:
-                val += a[k, j - m]
-            if m <= k:
-                val -= a[k - m, j]
-            rhs += val * phi.coefficient(-m).conjugate()
-        residual = max(residual, abs(lhs - rhs))
-    return residual
+    x, y = _xy_matrices(conj.coeff, np.array([k]), trunc, n_rows)
+    plus, minus = _phi_vectors(LaurentSymbol() if phi is None else phi, trunc)
+    return XYSystem(k, x[0], y[0], plus, minus)
 
 
 def _xy(plan: _Plan) -> CriterionResult:
     trunc = max(plan.phi.band, 1)
     jk = plan.jk_max
-    per_k = []
-    residual = 0.0
-    for k in range(jk + 1):
-        rk = _xy_residual(plan.a_work, plan.phi, k, jk, trunc)
-        per_k.append(rk)
-        residual = max(residual, rk)
+    x, y = _xy_matrices(plan.a_work, np.arange(jk + 1), trunc, jk)
+    plus, minus = _phi_vectors(plan.phi, trunc)
+    per_k = np.max(np.abs(x @ plus - y @ minus), axis=1)
+    residual = float(np.max(per_k))
     verdict = _decide(residual, plan.threshold, 0.0)
-    return CriterionResult(verdict, residual, 0.0, {"per_k": per_k, "trunc": trunc, "k_max": jk})
+    return CriterionResult(
+        verdict, residual, 0.0, {"per_k": per_k.tolist(), "trunc": trunc, "k_max": jk}
+    )
 
 
 def check_xy(
-    phi: LaurentSymbol,
-    conj: Conjugation,
-    k_max: int | None = None,
-    trunc: int | None = None,
-    config: CheckConfig | None = None,
+    phi: LaurentSymbol, conj: Conjugation, config: CheckConfig | None = None
 ) -> CriterionResult:
-    """Verify ``X(k) Phi+ = Y(k) Phi-`` for ``k = 0..k_max``.
+    """Verify ``X(k) Phi+ = Y(k) Phi-`` for ``k = 0..config.jk_max``.
 
     Equivalent, equation by equation, to the coefficient identities; the
     two are cross-asserted as an oracle property in the test suite.
     """
-    config = config or CheckConfig()
-    if k_max is not None:
-        config = CheckConfig(
-            degree=config.degree,
-            jk_max=k_max,
-            window=config.window,
-            tolerance=config.tolerance,
-            pad_limit=config.pad_limit,
-        )
-    plan = _make_plan(phi, conj, config)
-    if trunc is not None and trunc < phi.band:
-        raise ConjtoepError("trunc must cover the symbol band")
-    return _xy(plan)
-
-
-def _shift_columns(a_work: np.ndarray, count: int) -> np.ndarray:
-    """Leading columns of ``C M_z C`` without forming the whole matrix."""
-    block = a_work[:, :count]
-    shifted = np.zeros_like(block)
-    shifted[1:, :] = block[:-1, :]
-    return a_work @ np.conj(shifted)
+    return _xy(_make_plan(phi, conj, config))
 
 
 def _s_toeplitz(plan: _Plan) -> CriterionResult:
@@ -495,9 +451,8 @@ def _s_toeplitz(plan: _Plan) -> CriterionResult:
         w = max(0, min(plan.window, plan.degree - 1 - (2 * band_c + plan.phi.band)))
     else:
         w = plan.window
-    sw = _shift_columns(plan.a_work, w + 1)
-    product = sw.conj().T @ (plan.t_work @ sw)
-    residual = float(np.linalg.norm(product - plan.t_work[: w + 1, : w + 1]))
+    sw = shift_columns(plan.a_work, w + 1)
+    residual = compression_residual(plan.t_work, sw, Window.square(w))
     verdict = _decide(residual, plan.threshold, plan.tail_bound)
     return CriterionResult(verdict, residual, plan.tail_bound, {"window": w})
 

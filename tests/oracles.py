@@ -85,6 +85,88 @@ def apply_composition_series(alpha, coeffs, terms=None):
     return out[:n]
 
 
+def _truncated_convolve(f, g, terms):
+    return np.convolve(f, g)[:terms]
+
+
+def u_entry_oracle(params, i, j, series_terms=None):
+    """Series-expansion route to ``<W z^i, z^j>`` of the composition unitary.
+
+    Expands ``(alpha - z)^i`` and ``(1 - conj(alpha) z)^(-(i+1))`` as power
+    series by repeated convolution and reads off coefficient ``j`` of the
+    product, scaled by ``(conj(alpha)/alpha)^i * sqrt(1-|alpha|^2)``.  No
+    binomial is ever evaluated, so this is independent of ``u_entry``.
+    Truncated convolutions are exact for every retained coefficient, so
+    ``series_terms`` only needs to exceed ``j``; the default also honours the
+    geometric-tail heuristic ``|alpha|^terms < 1e-16``.  The final Cauchy
+    sum cancels as strongly as the closed form does, so the series is run in
+    extended precision too.
+    """
+    if i < 0 or j < 0:
+        raise ValueError("indices must be nonnegative")
+    a = np.clongdouble(params.alpha)
+    ac = np.conj(a)
+    if series_terms is None:
+        ratio = abs(params.alpha)
+        geom_terms = int(math.ceil(-16 * math.log(10) / math.log(ratio))) if ratio < 1 else 64
+        series_terms = max(j + 1, i + 1, geom_terms)
+    terms = max(series_terms, j + 1)
+
+    geometric = ac ** np.arange(terms)
+    denominator = geometric.copy()
+    for _ in range(i):
+        denominator = _truncated_convolve(denominator, geometric, terms)
+    numerator = np.array([1.0], dtype=np.clongdouble)
+    for _ in range(i):
+        numerator = np.convolve(numerator, np.array([a, np.clongdouble(-1.0)]))
+    series = _truncated_convolve(numerator, denominator, terms)
+    beta = math.sqrt(1.0 - abs(params.alpha) ** 2)
+    return complex(beta * (ac / a) ** i * series[j])
+
+
+def coefficient_equations_residual(a, phi, jk):
+    """Largest defect of the two-sided coefficient identities, pair by pair.
+
+    For ``0 <= j, k <= jk`` compares ``sum_n conj(phi_{n-k}) a[n, j]`` with
+    ``sum_{n>=1} conj(phi_n) a[k, n+j] + sum_{l>=0} conj(phi_{-l}) a[k, j-l]``
+    as plain finite sums over the symbol's band.
+    """
+    band = phi.band
+    residual = 0.0
+    for k in range(jk + 1):
+        for j in range(jk + 1):
+            lhs = 0j
+            for n in range(max(0, k - band), k + band + 1):
+                lhs += phi.coefficient(n - k).conjugate() * a[n, j]
+            rhs = 0j
+            for n in range(1, band + 1):
+                rhs += phi.coefficient(n).conjugate() * a[k, n + j]
+            for ell in range(0, min(j, band) + 1):
+                rhs += phi.coefficient(-ell).conjugate() * a[k, j - ell]
+            residual = max(residual, abs(lhs - rhs))
+    return residual
+
+
+def xy_residual(a, phi, k, jk, trunc):
+    """Largest row defect of ``X(k) Phi+ = Y(k) Phi-`` over rows ``j <= jk``,
+    with every matrix entry written out from the coefficient array."""
+    residual = 0.0
+    for j in range(jk + 1):
+        lhs = 0j
+        rhs = 0j
+        for n in range(1, trunc + 1):
+            lhs += (a[n + k, j] - a[k, n + j]) * phi.coefficient(n).conjugate()
+        for m in range(1, trunc + 1):
+            val = 0j
+            if m <= j:
+                val += a[k, j - m]
+            if m <= k:
+                val -= a[k - m, j]
+            rhs += val * phi.coefficient(-m).conjugate()
+        residual = max(residual, abs(lhs - rhs))
+    return residual
+
+
 def gradedlex_box(degrees):
     grid = [()]
     for n in degrees:

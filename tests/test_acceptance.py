@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conjtoep.composition import CompositionParams, TrigpolyGrid, scan_trigpoly_theorem, u_entry, u_entry_oracle
+from conjtoep.composition import CompositionParams, TrigpolyGrid, scan_trigpoly_theorem, u_entry
 from conjtoep.conjugation import (
     AlphaDiagonal,
     Banded,
@@ -28,6 +28,8 @@ from conjtoep.finite import FiniteToeplitz, finite_symmetry_criterion, toeplitz_
 from conjtoep.hardy import LaurentSymbol, toeplitz_matrix
 from conjtoep.polydisc import BoxTruncation, PolySymbol, check_poly_criterion, poly_check_definition, poly_conjugation, poly_toeplitz
 from conjtoep.symmetry import FAIL, PASS, CheckConfig, check_definition, run_all
+
+from oracles import u_entry_oracle
 
 CRITERIA = ("definition", "transpose_basis", "conjugated_toeplitz", "coefficient_equations", "xy_system")
 

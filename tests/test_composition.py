@@ -11,12 +11,13 @@ from conjtoep.composition import (
     composition_matrix,
     scan_trigpoly_theorem,
     u_entry,
-    u_entry_oracle,
 )
 from conjtoep.conjugation import Composition, is_conjugation, materialize
 from conjtoep.core import ConjtoepError, Tolerance, Window
 from conjtoep.hardy import LaurentSymbol
 from conjtoep.symmetry import PASS, run_all
+
+from oracles import u_entry_oracle
 
 
 ALPHAS = [0.3, 0.5 * np.exp(1j * np.pi / 4), 0.7j]

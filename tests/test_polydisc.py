@@ -59,14 +59,15 @@ def test_mixed_symbol_matches_kronecker_oracle():
 
 def test_random_symbols_match_kronecker_oracle():
     rng = np.random.default_rng(14)
-    box = BoxTruncation((2, 3))
-    for _ in range(5):
-        coeffs = {
-            (int(rng.integers(-2, 3)), int(rng.integers(-2, 3))): complex(*rng.standard_normal(2))
-            for _ in range(4)
-        }
-        t = poly_toeplitz(PolySymbol(2, coeffs), box)
-        np.testing.assert_allclose(t.matrix, kron_poly_toeplitz(coeffs, (2, 3)), atol=1e-13)
+    for degrees in [(2, 3), (2, 3, 2)]:
+        box = BoxTruncation(degrees)
+        for _ in range(5):
+            coeffs = {
+                tuple(int(rng.integers(-2, 3)) for _ in degrees): complex(*rng.standard_normal(2))
+                for _ in range(4)
+            }
+            t = poly_toeplitz(PolySymbol(len(degrees), coeffs), box)
+            np.testing.assert_allclose(t.matrix, kron_poly_toeplitz(coeffs, degrees), atol=1e-13)
 
 
 def test_zero_phases_give_identity_conjugation():

@@ -19,6 +19,9 @@ from conjtoep.symmetry import (
     INCONCLUSIVE,
     PASS,
     CheckConfig,
+    _coefficient_equations,
+    _make_plan,
+    _xy,
     build_xy,
     check_coefficient_equations,
     check_conjugated_toeplitz,
@@ -28,6 +31,8 @@ from conjtoep.symmetry import (
     check_xy,
     run_all,
 )
+
+from oracles import coefficient_equations_residual, xy_residual
 
 
 def sym_z_minus_zbar():
@@ -353,3 +358,36 @@ def test_verdicts_stable_under_degree_doubling():
         small = run_all(phi, materialize(spec, 24))
         large = run_all(phi, materialize(spec, 48))
         assert small.criterion_verdicts() == large.criterion_verdicts()
+
+
+def test_contractions_match_loop_oracles():
+    # banded families at the requested degree and composition conjugations
+    # at a padded work degree, against the plain-loop sums
+    rng = np.random.default_rng(41)
+    padded = 0
+    verdicts = set()
+    for trial in range(24):
+        if trial % 3 == 2:
+            alpha = (0.2 + 0.6 * rng.random()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            conj = materialize(Composition(complex(alpha)), 24)
+        else:
+            conj = _random_family(rng, 28)
+        phi = _random_symbol(rng, band=int(rng.integers(0, 5)))
+        plan = _make_plan(phi, conj, CheckConfig(degree=conj.degree))
+        padded += plan.work_degree > plan.degree
+        jk = plan.jk_max
+        trunc = max(phi.band, 1)
+
+        coeff = _coefficient_equations(plan)
+        want = coefficient_equations_residual(plan.a_work, phi, jk)
+        assert abs(coeff.residual - want) <= 1e-12
+        assert coeff.verdict == (PASS if want <= plan.threshold else FAIL)
+
+        xy = _xy(plan)
+        want_per_k = [xy_residual(plan.a_work, phi, k, jk, trunc) for k in range(jk + 1)]
+        np.testing.assert_allclose(xy.details["per_k"], want_per_k, rtol=0, atol=1e-12)
+        assert abs(xy.residual - max(want_per_k)) <= 1e-12
+        assert xy.verdict == (PASS if max(want_per_k) <= plan.threshold else FAIL)
+        verdicts |= {coeff.verdict, xy.verdict}
+    assert padded >= 8
+    assert verdicts == {PASS, FAIL}
