@@ -1,7 +1,8 @@
 """Command-line front end: parse job specs, run checks, emit JSON reports.
 
 Exit codes: 0 all criteria pass, 1 fail, 2 inconclusive, 3 internal
-criterion disagreement (a library defect), 64 malformed input, 65 invariant
+criterion disagreement (a library defect), 64 malformed input or command-line
+usage error (unknown flag, missing or badly typed argument), 65 invariant
 violation.  Code 3 is reserved exclusively for mathematical-equivalence
 violations so CI can tell library bugs from bad inputs.
 """
@@ -17,11 +18,12 @@ import numpy as np
 
 from .composition import CompositionParams, ScanReport, TrigpolyGrid, scan_trigpoly_theorem
 from .conjugation import (
-    Conjugation,
     Geometric,
     canonical_factorization,
+    is_conjugation,
     materialize,
     parse_family_spec,
+    unitarity_slack,
 )
 from .core import ConjtoepError, Tolerance, Window
 from .finite import FiniteToeplitz, finite_symmetry_criterion, general_symmetry, toeplitz_conjugation
@@ -52,6 +54,14 @@ DEFAULT_DEGREE = 32
 
 class _InputError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as bad input rather than exiting 2, the code of
+    an inconclusive verdict."""
+
+    def error(self, message):
+        raise _InputError(message)
 
 
 def _default_degree() -> int:
@@ -149,33 +159,20 @@ def _cmd_factor(args) -> int:
     tol = _tolerance(args)
     conj = materialize(family, degree)
     u = canonical_factorization(conj, tol)
-    if isinstance(conj.decay, Geometric):
-        w = min(8, degree)
-        tails = conj.tails(degree, w)
-        tail_bound = float(np.sum(tails**2))
-    else:
-        w = degree
-        tail_bound = 0.0
-    window = Window.square(w)
-    symmetry = float(np.linalg.norm((u - u.T)[: w + 1, : w + 1]))
-    gram = u @ u.conj().T
-    unitarity = float(np.linalg.norm((gram - np.eye(degree + 1))[: w + 1, : w + 1]))
+    window = Window.square(min(8, degree) if isinstance(conj.decay, Geometric) else degree)
+    tail_bound = unitarity_slack(conj, window)
+    ok, residuals = is_conjugation(conj.coeff, window, tol, tail_bound)
     rng = np.random.default_rng(7)
     sample = rng.standard_normal((degree + 1, 8)) + 1j * rng.standard_normal((degree + 1, 8))
     reconstruction = float(np.max(np.abs(u @ np.conj(sample) - conj.coeff @ np.conj(sample))))
     payload = {
         "unitary": _matrix_to_json(u),
-        "residuals": {
-            "symmetry": symmetry,
-            "unitarity": unitarity,
-            "reconstruction": reconstruction,
-        },
+        "residuals": {**residuals, "reconstruction": reconstruction},
         "window": [window.max_row, window.max_col],
         "tail_bound": tail_bound,
         "config": {"degree": degree, "tolerance": {"absolute": tol.absolute, "relative": tol.relative}},
     }
     _emit(payload, args)
-    ok = symmetry <= tol.threshold(1.0) and unitarity <= tol.threshold(1.0) + tail_bound
     return EXIT_PASS if ok and reconstruction <= tol.threshold(1.0) else EXIT_FAIL
 
 
@@ -217,8 +214,6 @@ def _cmd_check_poly(args) -> int:
         raise _InputError('check-poly expects {"family": "poly_theta_xi", "theta": [...], "xi": [...]}')
     theta = [float(t) for t in conj_data["theta"]]
     xi = [float(x) for x in conj_data["xi"]]
-    if args.box is None:
-        raise _InputError("check-poly requires --box")
     box = BoxTruncation(tuple(int(part) for part in args.box.split(",")))
     tol = _tolerance(args)
     coeff_verdict, coeff_residual = check_poly_criterion(phi, theta, tol)
@@ -282,66 +277,62 @@ def _cmd_scan_trigpoly(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conjtoep",
         description="Decide complex symmetry of (truncated) Toeplitz operators "
         "against a conjugation via mutually verifying criteria.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, symbol=True, conj=True):
-        if symbol:
-            p.add_argument("--symbol", required=True, help="symbol JSON or @file")
-        if conj:
-            p.add_argument("--conj", required=True, help="conjugation family JSON or @file")
-        p.add_argument("--degree", type=int, default=None, help="truncation degree (default 32, env CONJTOEP_DEFAULT_DEGREE)")
-        p.add_argument("--box", default=None, help="per-axis degrees N1,N2,...")
-        p.add_argument("--tol-abs", type=float, default=1e-12)
-        p.add_argument("--tol-rel", type=float, default=1e-10)
-        p.add_argument("--kmax", type=int, default=None)
-        p.add_argument("--window", type=int, default=None)
-        p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--format", choices=["json", "pretty"], default="json")
+    def flags(*specs):
+        group = argparse.ArgumentParser(add_help=False)
+        for name, options in specs:
+            group.add_argument(name, **options)
+        return group
 
-    p_check = sub.add_parser("check", help="run the full one-variable criterion suite")
-    common(p_check)
-    p_check.set_defaults(func=_cmd_check)
+    symbol = flags(("--symbol", {"required": True, "help": "symbol JSON or @file"}))
+    conj = flags(("--conj", {"required": True, "help": "conjugation family JSON or @file"}))
+    degree = flags(("--degree", {"type": int, "help": "default 32, env CONJTOEP_DEFAULT_DEGREE"}))
+    box = flags(("--box", {"required": True, "help": "per-axis degrees N1,N2,..."}))
+    tolerance = flags(
+        ("--tol-abs", {"type": float, "default": 1e-12}),
+        ("--tol-rel", {"type": float, "default": 1e-10}),
+    )
+    kmax = flags(("--kmax", {"type": int}))
+    window = flags(("--window", {"type": int}))
+    output = flags(
+        ("--out", {"help": "write the report to this path"}),
+        ("--format", {"choices": ["json", "pretty"], "default": "json"}),
+    )
 
-    p_poly = sub.add_parser("check-poly", help="polydisc coefficient and definition checks")
-    common(p_poly)
-    p_poly.set_defaults(func=_cmd_check_poly)
+    def command(name, func, help_text, groups):
+        p = sub.add_parser(name, help=help_text, parents=[*groups, output])
+        p.set_defaults(func=func)
+        return p
 
-    p_fin = sub.add_parser("check-finite", help="exact finite-dimensional checks")
-    common(p_fin)
-    p_fin.set_defaults(func=_cmd_check_finite)
-
-    p_factor = sub.add_parser("factor", help="canonical factorization C = U J with residuals")
-    common(p_factor, symbol=False)
-    p_factor.set_defaults(func=_cmd_factor)
-
-    p_xy = sub.add_parser("xy", help="emit the truncated X(k)/Y(k) systems and residuals")
-    common(p_xy)
-    p_xy.set_defaults(func=_cmd_xy)
-
-    p_scan = sub.add_parser("scan-trigpoly", help="grid scan of band-1 symbols for one alpha")
+    command("check", _cmd_check, "run the full one-variable criterion suite",
+            [symbol, conj, degree, tolerance, kmax, window])
+    command("check-poly", _cmd_check_poly, "polydisc coefficient and definition checks",
+            [symbol, conj, box, tolerance])
+    command("check-finite", _cmd_check_finite, "exact finite-dimensional checks", [symbol, conj])
+    command("factor", _cmd_factor, "canonical factorization C = U J with residuals",
+            [conj, degree, tolerance])
+    command("xy", _cmd_xy, "emit the truncated X(k)/Y(k) systems and residuals",
+            [symbol, conj, degree, tolerance, kmax])
+    p_scan = command("scan-trigpoly", _cmd_scan_trigpoly, "grid scan of band-1 symbols for one alpha",
+                     [tolerance])
     p_scan.add_argument("--alpha", required=True, help="re,im or JSON {\"alpha\": [re, im]}")
     p_scan.add_argument("--grid-points", type=int, default=21)
     p_scan.add_argument("--grid-lo", type=float, default=-1.0)
     p_scan.add_argument("--grid-hi", type=float, default=1.0)
     p_scan.add_argument("--degree", type=int, default=None)
-    p_scan.add_argument("--tol-abs", type=float, default=1e-12)
-    p_scan.add_argument("--tol-rel", type=float, default=1e-10)
-    p_scan.add_argument("--out", default=None)
-    p_scan.add_argument("--format", choices=["json", "pretty"], default="json")
-    p_scan.set_defaults(func=_cmd_scan_trigpoly)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ConjtoepError, Tolerance, DEFAULT_TOLERANCE
+from .core import ConjtoepError, Tolerance, DEFAULT_TOLERANCE, decide
 from .hardy import LaurentSymbol, toeplitz_matrix
 
 __all__ = [
@@ -174,8 +174,11 @@ def check_w_symmetry_conditions(
 
     Evaluates ``phi_n = <T_phi W z^n, W 1>`` and ``phi_{-n} = <T_phi W 1, W z^n>``
     for ``n = 1..n_max`` using the u-entries, padding the internal truncation
-    until the measured tail is negligible.  Returns ``(verdict, residual)``.
+    until the measured tail is negligible: the first row and column of the
+    transpose-basis defect.  Returns ``(verdict, residual)``.
     """
+    from .symmetry import transpose_defect
+
     if n_max < phi.band:
         raise ConjtoepError("n_max must cover the symbol band")
     scale = max(1.0, phi.l1_norm())
@@ -185,21 +188,9 @@ def check_w_symmetry_conditions(
         params, cols=n_max + phi.band + 2, margin=phi.band + 1, cap=cap, start=48, limit=4096
     )
     t = toeplitz_matrix(phi, degree).matrix
-    u0 = matrix[:, 0]
-    t_u0 = t @ u0
-    residual = 0.0
-    for n in range(1, n_max + 1):
-        un = matrix[:, n]
-        got_plus = complex(np.vdot(u0, t @ un))
-        got_minus = complex(np.vdot(un, t_u0))
-        residual = max(residual, abs(phi.coefficient(n) - got_plus))
-        residual = max(residual, abs(phi.coefficient(-n) - got_minus))
-    tail_bound = 8.0 * scale * tail
-    if residual > threshold + tail_bound:
-        return "fail", residual
-    if residual > threshold and tail_bound > threshold:
-        return "inconclusive", residual
-    return "pass", residual
+    defect = transpose_defect(matrix, t, slice(n_max + 1))
+    residual = float(np.max(np.abs(np.r_[defect[0, 1:], defect[1:, 0]]), initial=0.0))
+    return decide(residual, threshold, 8.0 * scale * tail), residual
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,7 @@ genuinely finite-dimensional maps.
 from __future__ import annotations
 
 import cmath
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +50,7 @@ __all__ = [
     "conjugation_from_fixed_basis",
     "is_conjugation",
     "apply_conjugation",
+    "unitarity_slack",
     "canonical_factorization",
     "shift_columns",
     "shift_from_conjugation",
@@ -109,6 +109,7 @@ class Conjugation:
 
     def __post_init__(self):
         m = require_matrix(self.coeff, square=True)
+        m.setflags(write=False)
         object.__setattr__(self, "coeff", m)
         if m.shape[0] != self.degree + 1:
             raise ConjtoepError("coefficient matrix size must be degree + 1")
@@ -334,18 +335,21 @@ def conjugation_from_fixed_basis(
     return Conjugation(coeff, basis.degree, Banded(band), None, "from_basis", notes)
 
 
-def is_conjugation(a, w: Window, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[bool, dict]:
+def is_conjugation(
+    a, w: Window, tol: Tolerance = DEFAULT_TOLERANCE, slack: float = 0.0
+) -> tuple[bool, dict]:
     """Symmetric-unitary test on a window.
 
     Returns ``(verdict, {"symmetry": r1, "unitarity": r2})``; a matrix is a
     conjugation coefficient matrix exactly when it is symmetric and unitary
-    (involutivity ``A conj(A) = I`` then follows).
+    (involutivity ``A conj(A) = I`` then follows).  ``slack`` is the
+    unitarity defect a truncation may inflict (:func:`unitarity_slack`).
     """
     a = require_matrix(a, square=True)
     w.require_fits(a.shape)
     sym = float(np.linalg.norm((a - a.T)[: w.max_row + 1, : w.max_col + 1]))
-    unitary_ok, unit = is_unitary_on_window(a, w, tol)
-    ok = sym <= tol.threshold(1.0) and unitary_ok
+    _, unit = is_unitary_on_window(a, w, tol)
+    ok = sym <= tol.threshold(1.0) and unit <= tol.threshold(1.0) + slack
     return ok, {"symmetry": sym, "unitarity": unit}
 
 
@@ -355,7 +359,7 @@ def apply_conjugation(c: Conjugation, x) -> np.ndarray:
     return c.coeff @ np.conj(x)
 
 
-def _unitarity_slack(c: Conjugation, w: Window) -> float:
+def unitarity_slack(c: Conjugation, w: Window) -> float:
     """Frobenius bound for the unitarity defect a truncation inflicts on w."""
     tails = c.tails(c.degree, min(max(w.max_row, w.max_col), c.degree))
     return float(np.sum(tails**2))
@@ -373,10 +377,7 @@ def canonical_factorization(
     re-checked to reproduce the conjugation's action composed with J.
     """
     w = window if window is not None else Window.full(c.degree + 1)
-    sym = float(np.linalg.norm((c.coeff - c.coeff.T)[: w.max_row + 1, : w.max_col + 1]))
-    _, unit = is_unitary_on_window(c.coeff, w, tol)
-    slack = _unitarity_slack(c, w)
-    if sym > tol.threshold(1.0) or unit > tol.threshold(1.0) + slack:
+    if not is_conjugation(c.coeff, w, tol, unitarity_slack(c, w))[0]:
         raise NotConjugationError("not a conjugation")
     u = c.coeff.copy()
     rng = np.random.default_rng(0)

@@ -1,8 +1,9 @@
 """Complex matrix primitives, exactness windows, and residual/tolerance machinery.
 
 All values are immutable and all operations are pure functions: matrices are
-accepted as dense complex ndarrays, never mutated, and results are freshly
-allocated.  This makes every routine in the package safe to call concurrently.
+accepted as dense complex ndarrays and never mutated; matrices the package
+builds are frozen read-only.  This makes every routine in the package safe to
+call concurrently.
 
 Matrix convention used throughout: ``M[i, j]`` is the coefficient of the
 ``i``-th basis vector in the image of the ``j``-th one, i.e. columns are
@@ -11,23 +12,34 @@ images of basis vectors.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "PASS",
+    "FAIL",
+    "INCONCLUSIVE",
     "ConjtoepError",
     "WindowError",
     "ExactnessError",
     "Window",
     "Tolerance",
     "DEFAULT_TOLERANCE",
+    "decide",
+    "require_coefficient",
     "require_matrix",
     "frobenius_distance",
     "is_unitary_on_window",
     "random_unitary",
     "random_symmetric_unitary",
 ]
+
+
+PASS = "pass"
+FAIL = "fail"
+INCONCLUSIVE = "inconclusive"
 
 
 class ConjtoepError(Exception):
@@ -104,12 +116,35 @@ class Tolerance:
 DEFAULT_TOLERANCE = Tolerance()
 
 
+def decide(residual: float, threshold: float, tail: float) -> str:
+    """Tail-aware verdict: ``inconclusive`` only when a residual above the
+    threshold is within a tail larger than the threshold."""
+    if tail <= threshold:
+        return PASS if residual <= threshold + tail else FAIL
+    if residual > threshold + tail:
+        return FAIL
+    if residual > threshold:
+        return INCONCLUSIVE
+    return PASS
+
+
+def require_coefficient(value) -> complex:
+    """A symbol coefficient as a finite complex number."""
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise ConjtoepError("symbol coefficients must be finite")
+    return value
+
+
 def require_matrix(a, square: bool = False) -> np.ndarray:
     """Validate and normalize a dense complex matrix.
 
-    Returns a complex128 copy; rejects non-2D input and non-finite entries.
+    A read-only complex128 array is already frozen and comes back as is;
+    anything else comes back as a complex128 copy.  Rejects non-2D input and
+    non-finite entries.
     """
-    m = np.array(a, dtype=np.complex128)
+    frozen = isinstance(a, np.ndarray) and a.dtype == np.complex128 and not a.flags.writeable
+    m = a if frozen else np.array(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ConjtoepError("expected a 2-D matrix")
     if not np.all(np.isfinite(m)):

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conjugation import Conjugation, ExactFinite, canonical_factorization
-from .core import ConjtoepError, require_matrix
+from .core import ConjtoepError, require_coefficient, require_matrix
 from .hardy import LaurentSymbol, toeplitz_matrix
+from .symmetry import coefficient_defect, transpose_defect
 
 __all__ = [
     "FiniteToeplitz",
@@ -40,7 +41,7 @@ class FiniteToeplitz:
             k = int(k)
             if abs(k) > self.size_minus_one:
                 raise ConjtoepError("diagonal index outside the matrix")
-            v = complex(v)
+            v = require_coefficient(v)
             if v != 0:
                 cleaned[k] = v
         object.__setattr__(self, "a", cleaned)
@@ -93,15 +94,13 @@ def finite_symmetry_criterion(t: FiniteToeplitz, conj: Conjugation) -> tuple[boo
     """Coefficient identity deciding symmetry of a finite Toeplitz matrix.
 
     Checks ``sum_m c_{m,p} conj(a_{m-k}) = sum_m c_{m,k} conj(a_{m-p})`` for
-    every index pair; packaged as the symmetry of one matrix product, since
-    the left side over (k, p) is the transpose of the right side.
+    every index pair: the one-variable coefficient identities
+    (:func:`conjtoep.symmetry.coefficient_defect`) over the whole matrix.
     """
     n = t.size_minus_one + 1
     if conj.degree != t.size_minus_one:
         raise ConjtoepError("conjugation and matrix sizes differ")
-    b = np.conj(t.matrix())
-    lhs = b.T @ conj.coeff
-    residual = float(np.max(np.abs(lhs - lhs.T)))
+    residual = coefficient_defect(conj.coeff, t.matrix(), n - 1, n)
     scale = max(1.0, t.l1_norm())
     return residual <= _ROUNDOFF_REL * scale * n, residual
 
@@ -110,13 +109,15 @@ def general_symmetry(t, conj: Conjugation) -> tuple[bool, float]:
     """Exact symmetry check for an arbitrary operator on C^(N+1).
 
     Compares the transpose of the matrix with its conjugation by the unitary
-    factor of ``C = U J``; the residual equals the defect of the defining
-    identity ``C T* C = T`` up to unitary invariance of the norm.
+    factor of ``C = U J`` (:func:`conjtoep.symmetry.transpose_defect` over
+    every index); the residual equals the defect of the defining identity
+    ``C T* C = T`` up to unitary invariance of the norm.
     """
     t = require_matrix(t, square=True)
-    if conj.degree != t.shape[0] - 1:
+    n = t.shape[0]
+    if conj.degree != n - 1:
         raise ConjtoepError("conjugation and matrix sizes differ")
     u = canonical_factorization(conj)
-    residual = float(np.linalg.norm(t.T - u.conj().T @ t @ u))
+    residual = float(np.linalg.norm(transpose_defect(u, t, slice(n))))
     scale = max(1.0, float(np.linalg.norm(t)))
-    return residual <= _ROUNDOFF_REL * scale * t.shape[0], residual
+    return residual <= _ROUNDOFF_REL * scale * n, residual

@@ -18,6 +18,7 @@ from .core import (
     Tolerance,
     DEFAULT_TOLERANCE,
     Window,
+    require_coefficient,
     require_matrix,
 )
 
@@ -46,9 +47,7 @@ class LaurentSymbol:
     def __post_init__(self):
         cleaned = {}
         for n, v in self.coefficients.items():
-            v = complex(v)
-            if not (np.isfinite(v.real) and np.isfinite(v.imag)):
-                raise ConjtoepError("symbol coefficients must be finite")
+            v = require_coefficient(v)
             if v != 0:
                 cleaned[int(n)] = v
         object.__setattr__(self, "coefficients", cleaned)
@@ -90,26 +89,20 @@ class LaurentSymbol:
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """An (N+1) x (N+1) truncation together with its exactness window.
-
-    ``exact`` records which entries equal the untruncated operator's
-    entries; operator products shrink it.
-    """
+    """An (N+1) x (N+1) truncation of an operator on the Hardy space."""
 
     matrix: np.ndarray
     degree: int
-    exact: Window
 
     def __post_init__(self):
         m = require_matrix(self.matrix, square=True)
         object.__setattr__(self, "matrix", m)
         if m.shape[0] != self.degree + 1:
             raise ConjtoepError("matrix size must be degree + 1")
-        self.exact.require_fits(m.shape)
 
 
 @dataclass(frozen=True)
-class ShiftOperator:
+class ShiftOperator(TruncatedOperator):
     """Truncated unilateral shift ``S f_n = f_{n+1}`` for some basis {f_n}.
 
     ``band`` is the bandwidth of the untruncated matrix when known (None for
@@ -117,16 +110,8 @@ class ShiftOperator:
     of the untruncated isometry.
     """
 
-    matrix: np.ndarray
-    degree: int
     basis_label: str = ""
     band: int | None = None
-
-    def __post_init__(self):
-        m = require_matrix(self.matrix, square=True)
-        object.__setattr__(self, "matrix", m)
-        if m.shape[0] != self.degree + 1:
-            raise ConjtoepError("matrix size must be degree + 1")
 
     def exact_columns(self) -> int | None:
         """Number of leading columns that equal the untruncated shift's."""
@@ -148,7 +133,8 @@ def toeplitz_gather(coefficients: dict, codes: np.ndarray) -> TruncatedOperator:
     and ``coefficients`` maps codes to symbol coefficients; entry ``(p, q)``
     is the coefficient at ``codes[p] - codes[q]``.  Compressing a
     multiplication operator never mixes the retained coefficients, so the
-    truncation is exact everywhere.
+    truncation is exact everywhere.  The gathered matrix is frozen, so the
+    operator takes it without a copy.
     """
     span = int(np.ptp(codes))
     table = np.zeros(2 * span + 1, dtype=np.complex128)
@@ -157,8 +143,9 @@ def toeplitz_gather(coefficients: dict, codes: np.ndarray) -> TruncatedOperator:
             table[c + span] = v
     diff = codes[:, None] - codes[None, :]
     diff += span
-    n = codes.size
-    return TruncatedOperator(table[diff], n - 1, Window.full(n))
+    matrix = table[diff]
+    matrix.setflags(write=False)
+    return TruncatedOperator(matrix, codes.size - 1)
 
 
 def toeplitz_matrix(phi: LaurentSymbol, degree: int) -> TruncatedOperator:
@@ -217,8 +204,5 @@ def s_toeplitz_residual(t: TruncatedOperator, s: ShiftOperator, w: Window) -> fl
     if s.band is not None:
         limit = t.degree - 1 - s.band
         if w.max_row > limit or w.max_col > limit:
-            raise ExactnessError("exactness window violated")
-        needed = max(w.max_row, w.max_col) + 1 + s.band
-        if needed > min(t.exact.max_row, t.exact.max_col):
             raise ExactnessError("exactness window violated")
     return compression_residual(t.matrix, s.matrix, w)

@@ -17,9 +17,9 @@ from functools import cached_property
 import numpy as np
 
 from .conjugation import Banded, Conjugation, diagonal_phase
-from .core import ConjtoepError, Tolerance, DEFAULT_TOLERANCE
+from .core import ConjtoepError, Tolerance, DEFAULT_TOLERANCE, decide, require_coefficient
 from .hardy import TruncatedOperator, toeplitz_gather
-from .symmetry import FAIL, INCONCLUSIVE, PASS, definition_residual
+from .symmetry import definition_residual, transpose_defect
 
 __all__ = [
     "PolySymbol",
@@ -48,7 +48,7 @@ class PolySymbol:
             idx = tuple(int(k) for k in key)
             if len(idx) != self.d:
                 raise ConjtoepError("coefficient index has wrong dimension")
-            value = complex(value)
+            value = require_coefficient(value)
             if value != 0:
                 cleaned[idx] = value
         object.__setattr__(self, "coefficients", cleaned)
@@ -211,8 +211,7 @@ def check_poly_criterion(
         rhs = phi.coefficient(tuple(-c for c in k))
         residual = max(residual, abs(lhs - rhs))
     scale = max(1.0, phi.l1_norm())
-    verdict = PASS if residual <= tol.threshold(scale) else FAIL
-    return verdict, residual
+    return decide(residual, tol.threshold(scale), 0.0), residual
 
 
 @dataclass(frozen=True)
@@ -250,15 +249,8 @@ def poly_check_definition(
     t = poly_toeplitz(phi, box).matrix
     positions = box.window_positions(window)
     residual = definition_residual(conj.coeff, t, positions, positions)
-
-    f = conj.coeff[:, positions]
-    gram = f.conj().T @ (t @ f)
-    target = t[np.ix_(positions, positions)].T
-    tilde_mismatch = float(np.max(np.abs(gram - target))) if positions.size else 0.0
-
-    scale = max(1.0, phi.l1_norm())
-    threshold = tol.threshold(scale)
-    verdict = PASS if residual <= threshold else FAIL
+    tilde_mismatch = float(np.max(np.abs(transpose_defect(conj.coeff, t, positions))))
+    verdict = decide(residual, tol.threshold(max(1.0, phi.l1_norm())), 0.0)
     return PolyDefinitionResult(verdict, residual, tilde_mismatch, window)
 
 

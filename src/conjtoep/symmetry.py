@@ -35,11 +35,15 @@ import numpy as np
 
 from .conjugation import Conjugation, materialize, shift_columns, working_coefficients
 from .core import (
+    FAIL,
+    INCONCLUSIVE,
+    PASS,
     ConjtoepError,
     ExactnessError,
     Tolerance,
     DEFAULT_TOLERANCE,
     Window,
+    decide,
 )
 from .hardy import LaurentSymbol, compression_residual, is_toeplitz, toeplitz_matrix
 
@@ -53,6 +57,8 @@ __all__ = [
     "SymmetryReport",
     "CriterionDisagreement",
     "definition_residual",
+    "transpose_defect",
+    "coefficient_defect",
     "check_definition",
     "check_transpose_basis",
     "check_conjugated_toeplitz",
@@ -62,10 +68,6 @@ __all__ = [
     "check_s_toeplitz_necessary",
     "run_all",
 ]
-
-PASS = "pass"
-FAIL = "fail"
-INCONCLUSIVE = "inconclusive"
 
 CRITERIA = (
     "definition",
@@ -185,16 +187,6 @@ def _jsonable(value):
     return value
 
 
-def _decide(residual: float, threshold: float, tail: float) -> str:
-    if tail <= threshold:
-        return PASS if residual <= threshold + tail else FAIL
-    if residual > threshold + tail:
-        return FAIL
-    if residual > threshold:
-        return INCONCLUSIVE
-    return PASS
-
-
 @dataclass(frozen=True)
 class _Plan:
     """Shared working data for one (symbol, conjugation) instance."""
@@ -279,10 +271,18 @@ def definition_residual(a_work: np.ndarray, t_work: np.ndarray, rows, cols) -> f
     return float(np.linalg.norm(diff))
 
 
+def transpose_defect(a_work: np.ndarray, t_work: np.ndarray, idx) -> np.ndarray:
+    """``f^H T f - T[idx, idx]^T`` with ``f = A[:, idx]``: entry ``(p, q)``
+    compares ``<T f_q, f_p>`` in the basis ``f_n = U z^n`` with the
+    transposed Toeplitz entry.  ``idx`` is a slice or an index array."""
+    f = a_work[:, idx]
+    return f.conj().T @ (t_work @ f) - t_work[idx][:, idx].T
+
+
 def _definition(plan: _Plan) -> CriterionResult:
     idx = np.arange(plan.window + 1)
     residual = definition_residual(plan.a_work, plan.t_work, idx, idx)
-    verdict = _decide(residual, plan.threshold, plan.tail_bound)
+    verdict = decide(residual, plan.threshold, plan.tail_bound)
     return CriterionResult(verdict, residual, plan.tail_bound, {"window": plan.window})
 
 
@@ -295,11 +295,8 @@ def check_definition(
 
 def _transpose_basis(plan: _Plan) -> CriterionResult:
     w = plan.window
-    f = plan.a_work[:, : w + 1]
-    gram = f.conj().T @ (plan.t_work @ f)
-    target = plan.t_work[: w + 1, : w + 1].T
-    residual = float(np.linalg.norm(gram - target))
-    verdict = _decide(residual, plan.threshold, plan.tail_bound)
+    residual = float(np.linalg.norm(transpose_defect(plan.a_work, plan.t_work, slice(w + 1))))
+    verdict = decide(residual, plan.threshold, plan.tail_bound)
     return CriterionResult(verdict, residual, plan.tail_bound, {"window": w})
 
 
@@ -321,8 +318,8 @@ def _conjugated_toeplitz(plan: _Plan) -> CriterionResult:
         np.linalg.norm(product[: w + 1, : w + 1] - plan.t_work[: w + 1, : w + 1].T)
     )
     residual = max(matrix_residual, toep_residual)
-    verdict = _decide(residual, plan.threshold, plan.tail_bound)
-    toeplitz_flag = _decide(toep_residual, plan.threshold, plan.tail_bound) == PASS
+    verdict = decide(residual, plan.threshold, plan.tail_bound)
+    toeplitz_flag = decide(toep_residual, plan.threshold, plan.tail_bound) == PASS
     return CriterionResult(
         verdict,
         residual,
@@ -343,18 +340,21 @@ def check_conjugated_toeplitz(
     return _conjugated_toeplitz(_make_plan(phi, conj, config))
 
 
+def coefficient_defect(a: np.ndarray, t: np.ndarray, jk: int, rows: int) -> float:
+    """Largest defect of the coefficient identities
+    ``sum_n conj(phi_{n-k}) A[n, j] = sum_m A[k, m] conj(phi_{m-j})``, i.e.
+    of entry ``(k, j)`` of ``T^H A = A conj(T)``, over ``0 <= j, k <= jk``;
+    every sum stops at index ``rows - 1``."""
+    t = t[:rows, : jk + 1]
+    lhs = t.conj().T @ a[:rows, : jk + 1]
+    rhs = a[: jk + 1, :rows] @ np.conj(t)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
 def _coefficient_equations(plan: _Plan) -> CriterionResult:
-    # For 0 <= j, k <= jk_max the identity reads
-    #   sum_n conj(phi_{n-k}) A[n, j] = sum_m A[k, m] conj(phi_{m-j}),
-    # i.e. entry (k, j) of T^H A = A conj(T); every sum stops at index
-    # jk_max + band, so only those leading rows and columns are read.
     jk = plan.jk_max
-    rows = jk + plan.phi.band + 1
-    t = plan.t_work[:rows, : jk + 1]
-    lhs = t.conj().T @ plan.a_work[:rows, : jk + 1]
-    rhs = plan.a_work[: jk + 1, :rows] @ np.conj(t)
-    residual = float(np.max(np.abs(lhs - rhs)))
-    verdict = _decide(residual, plan.threshold, 0.0)
+    residual = coefficient_defect(plan.a_work, plan.t_work, jk, jk + plan.phi.band + 1)
+    verdict = decide(residual, plan.threshold, 0.0)
     return CriterionResult(verdict, residual, 0.0, {"jk_max": jk})
 
 
@@ -428,7 +428,7 @@ def _xy(plan: _Plan) -> CriterionResult:
     plus, minus = _phi_vectors(plan.phi, trunc)
     per_k = np.max(np.abs(x @ plus - y @ minus), axis=1)
     residual = float(np.max(per_k))
-    verdict = _decide(residual, plan.threshold, 0.0)
+    verdict = decide(residual, plan.threshold, 0.0)
     return CriterionResult(
         verdict, residual, 0.0, {"per_k": per_k.tolist(), "trunc": trunc, "k_max": jk}
     )
@@ -453,7 +453,7 @@ def _s_toeplitz(plan: _Plan) -> CriterionResult:
         w = plan.window
     sw = shift_columns(plan.a_work, w + 1)
     residual = compression_residual(plan.t_work, sw, Window.square(w))
-    verdict = _decide(residual, plan.threshold, plan.tail_bound)
+    verdict = decide(residual, plan.threshold, plan.tail_bound)
     return CriterionResult(verdict, residual, plan.tail_bound, {"window": w})
 
 

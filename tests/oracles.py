@@ -204,3 +204,24 @@ def kron_poly_toeplitz(coeffs, degrees):
     perm = [tensor_index[k] for k in order]
     p = np.array(perm)
     return total[np.ix_(p, p)]
+
+
+def finite_asymmetry_residual(t, a):
+    """Largest asymmetry of ``conj(T)^T A``: the finite coefficient identities
+    as the symmetry of one product, in the form the finite check once had."""
+    lhs = np.conj(t).T @ a
+    return float(np.max(np.abs(lhs - lhs.T)))
+
+
+def general_symmetry_residual(t, u):
+    """Frobenius norm of ``T^T - U^H T U``, the product order of the earlier
+    exact finite check."""
+    return float(np.linalg.norm(t.T - u.conj().T @ t @ u))
+
+
+def tilde_mismatch(a, t, positions):
+    """``max |<T f_q, f_p> - phi(q - p)|`` over window positions with
+    ``f = A[:, positions]``, as the polydisc definition check once inlined it."""
+    f = a[:, positions]
+    gram = f.conj().T @ (t @ f)
+    return float(np.max(np.abs(gram - t[np.ix_(positions, positions)].T)))

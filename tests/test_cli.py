@@ -163,6 +163,100 @@ def test_missing_field_exits_64(capsys):
     assert code == EXIT_BAD_INPUT
 
 
+SPEC_ARGS = {
+    "check": ["--symbol", Z_MINUS_ZBAR, "--conj", THETA_PI],
+    "check-poly": [
+        "--symbol",
+        '{"d": 1, "coeffs": {"1": [1, 0]}}',
+        "--conj",
+        '{"family": "poly_theta_xi", "theta": [0], "xi": [0]}',
+        "--box",
+        "3",
+    ],
+    "check-finite": ["--symbol", '{"N": 2, "a": {"1": [1, 0]}}', "--conj", '{"family": "toeplitz"}'],
+    "factor": ["--conj", THETA_PI],
+    "xy": ["--symbol", Z_MINUS_ZBAR, "--conj", THETA_PI],
+}
+FLAG_VALUES = {
+    "--degree": "8",
+    "--box": "2,2",
+    "--tol-abs": "0.5",
+    "--tol-rel": "0.5",
+    "--kmax": "1",
+    "--window": "1",
+}
+UNREAD_FLAGS = [
+    ("check", "--box"),
+    ("check-poly", "--degree"),
+    ("check-poly", "--kmax"),
+    ("check-poly", "--window"),
+    ("check-finite", "--degree"),
+    ("check-finite", "--box"),
+    ("check-finite", "--tol-abs"),
+    ("check-finite", "--tol-rel"),
+    ("check-finite", "--kmax"),
+    ("check-finite", "--window"),
+    ("factor", "--box"),
+    ("factor", "--kmax"),
+    ("factor", "--window"),
+    ("xy", "--box"),
+    ("xy", "--window"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[cmd, *SPEC_ARGS[cmd], flag, FLAG_VALUES[flag]] for cmd, flag in UNREAD_FLAGS]
+    + [
+        ["check", *SPEC_ARGS["check"], "--no-such-flag"],
+        ["check", "--symbol", Z_MINUS_ZBAR],
+        ["check", *SPEC_ARGS["check"], "--degree", "x"],
+    ],
+    ids=[f"{cmd} {flag}" for cmd, flag in UNREAD_FLAGS] + ["unknown flag", "missing conj", "bad degree"],
+)
+def test_usage_errors_exit_64(capsys, argv):
+    # a command accepts only the flags it reads, and usage errors are bad
+    # input, never the inconclusive code 2
+    assert main(argv) == EXIT_BAD_INPUT
+    assert "error:" in capsys.readouterr().err
+
+
+READ_FLAGS = {
+    "check": ["--degree", "--tol-abs", "--tol-rel", "--kmax", "--window"],
+    "check-poly": ["--tol-abs", "--tol-rel"],
+    "check-finite": [],
+    "factor": ["--degree", "--tol-abs", "--tol-rel"],
+    "xy": ["--degree", "--tol-abs", "--tol-rel", "--kmax"],
+}
+
+
+def test_flags_read_by_each_command_are_accepted(capsys):
+    for cmd, args in SPEC_ARGS.items():
+        unread = {flag for c, flag in UNREAD_FLAGS if c == cmd}
+        read = set(READ_FLAGS[cmd]) | ({"--box"} if "--box" in args else set())
+        assert read | unread == set(FLAG_VALUES) and not read & unread
+        argv = [cmd, *args, "--format", "pretty"]
+        for flag in READ_FLAGS[cmd]:
+            argv += [flag, FLAG_VALUES[flag]]
+        assert main(argv) in (EXIT_PASS, EXIT_FAIL)
+        capsys.readouterr()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["check", "--help"])
+    assert info.value.code == 0
+    assert "--symbol" in capsys.readouterr().out
+
+
+def test_non_finite_symbol_exits_65(capsys):
+    argv = ["check-poly", *SPEC_ARGS["check-poly"]]
+    argv[2] = '{"d": 1, "coeffs": {"1": [NaN, 0]}}'
+    code = main(argv)
+    assert code == EXIT_INVARIANT
+    assert "finite" in capsys.readouterr().err
+
+
 def test_invariant_violation_exits_65(capsys):
     code = main(
         ["check", "--symbol", Z_MINUS_ZBAR, "--conj", '{"family": "composition", "alpha": [1.5, 0]}']

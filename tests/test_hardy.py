@@ -16,7 +16,6 @@ from conjtoep.hardy import (
 def test_constant_symbol_gives_identity():
     t = toeplitz_matrix(LaurentSymbol({0: 1}), 2)
     np.testing.assert_array_equal(t.matrix, np.eye(3))
-    assert t.exact == Window.full(3)
 
 
 def test_coordinate_symbol_gives_subdiagonal():
@@ -77,7 +76,7 @@ def test_s_toeplitz_zero_for_canonical_shift():
 def test_s_toeplitz_detects_shifting_diagonal():
     degree = 6
     d = np.diag(np.arange(degree + 1)).astype(complex)
-    t = TruncatedOperator(d, degree, Window.full(degree + 1))
+    t = TruncatedOperator(d, degree)
     s = shift_from_conjugation(materialize(CanonicalJ(), degree))
     # every retained diagonal entry moves by exactly one
     assert s_toeplitz_residual(t, s, Window(0, 0)) == pytest.approx(1.0, abs=1e-15)

@@ -5,15 +5,25 @@ import pytest
 
 from conjtoep.conjugation import (
     AlphaDiagonal,
+    Banded,
     BasisSpec,
     CanonicalJ,
     Composition,
+    Conjugation,
     FromBasis,
     ThetaXi,
     materialize,
 )
-from conjtoep.core import Window
+from conjtoep.core import DEFAULT_TOLERANCE, Window, random_symmetric_unitary
+from conjtoep.finite import (
+    _ROUNDOFF_REL,
+    FiniteToeplitz,
+    finite_symmetry_criterion,
+    general_symmetry,
+    toeplitz_conjugation,
+)
 from conjtoep.hardy import LaurentSymbol, ShiftOperator, s_toeplitz_residual, toeplitz_matrix
+from conjtoep.polydisc import BoxTruncation, PolySymbol, poly_check_definition, poly_conjugation, poly_toeplitz
 from conjtoep.symmetry import (
     FAIL,
     INCONCLUSIVE,
@@ -32,7 +42,13 @@ from conjtoep.symmetry import (
     run_all,
 )
 
-from oracles import coefficient_equations_residual, xy_residual
+from oracles import (
+    coefficient_equations_residual,
+    finite_asymmetry_residual,
+    general_symmetry_residual,
+    tilde_mismatch,
+    xy_residual,
+)
 
 
 def sym_z_minus_zbar():
@@ -391,3 +407,59 @@ def test_contractions_match_loop_oracles():
         verdicts |= {coeff.verdict, xy.verdict}
     assert padded >= 8
     assert verdicts == {PASS, FAIL}
+
+
+def test_shared_kernels_match_parent_formulas():
+    # the finite and polydisc checks evaluate the coefficient and transpose
+    # identities through the one-variable kernels; their earlier inline
+    # formulas are the oracles
+    rng = np.random.default_rng(43)
+    finite_verdicts = set()
+    for trial in range(60):
+        n = int(rng.integers(1, 9))
+        t = FiniteToeplitz(n, {k: complex(*rng.standard_normal(2)) for k in range(-n, n + 1)})
+        pick = trial % 3
+        if pick == 0:
+            conj = materialize(CanonicalJ(), n)
+        elif pick == 1:
+            conj = toeplitz_conjugation(n)
+        else:
+            conj = Conjugation(random_symmetric_unitary(n + 1, rng), n, Banded(n))
+        m = t.matrix()
+
+        ok, residual = finite_symmetry_criterion(t, conj)
+        want = finite_asymmetry_residual(m, conj.coeff)
+        assert abs(residual - want) <= 1e-12
+        assert ok == (want <= _ROUNDOFF_REL * max(1.0, t.l1_norm()) * (n + 1))
+
+        ok_general, residual = general_symmetry(m, conj)
+        want = general_symmetry_residual(m, conj.coeff)
+        assert abs(residual - want) <= 1e-12
+        assert ok_general == (want <= _ROUNDOFF_REL * max(1.0, float(np.linalg.norm(m))) * (n + 1))
+        finite_verdicts |= {ok, ok_general}
+    assert finite_verdicts == {True, False}
+
+    poly_verdicts = set()
+    for degrees in [(9,), (4, 5), (2, 3, 2)]:
+        box = BoxTruncation(degrees)
+        d = box.d
+        for trial in range(8):
+            theta = tuple(rng.uniform(0, 2 * np.pi, d))
+            xi = tuple(rng.uniform(0, 2 * np.pi, d))
+            coeffs = {}
+            for _ in range(3):
+                k = tuple(int(c) for c in rng.integers(-1, 2, d))
+                coeffs[k] = complex(*rng.standard_normal(2))
+                if trial % 2:
+                    kt = float(np.dot(k, theta))
+                    coeffs[tuple(-c for c in k)] = np.exp(1j * kt) * coeffs[k]
+            phi = PolySymbol(d, coeffs)
+            res = poly_check_definition(phi, theta, xi, box)
+            positions = box.window_positions(res.window)
+            t = poly_toeplitz(phi, box).matrix
+            want = tilde_mismatch(poly_conjugation(theta, xi, box).coeff, t, positions)
+            assert abs(res.tilde_mismatch - want) <= 1e-12
+            threshold = DEFAULT_TOLERANCE.threshold(max(1.0, phi.l1_norm()))
+            assert (res.tilde_mismatch <= threshold) == (want <= threshold)
+            poly_verdicts.add(want <= threshold)
+    assert poly_verdicts == {True, False}
