@@ -22,14 +22,11 @@ from .hardy import (
 )
 from .conjugation import (
     AlphaDiagonal,
-    Banded,
     BasisSpec,
     CanonicalJ,
     Composition,
     Conjugation,
-    ExactFinite,
     FromBasis,
-    Geometric,
     ThetaXi,
     apply_conjugation,
     canonical_factorization,

@@ -115,10 +115,9 @@ def composition_matrix(params: CompositionParams, degree: int) -> np.ndarray:
     return out
 
 
-# Correctly rounded column masses still carry ~1e-14 of float noise (entry
-# round-off squared plus the final subtraction), so measured tails cannot
-# honestly resolve below its square root.
-_MASS_RESOLUTION = 1e-14
+# Every squared entry of a column carries round-off, so a column mass near 1
+# is uncertain in its last digits and a tail ``sqrt(1 - mass)`` cannot
+# honestly resolve below this.
 TAIL_RESOLUTION = 3.2e-7
 
 
@@ -127,17 +126,14 @@ def column_tails(matrix: np.ndarray, level: int, cols: int) -> np.ndarray:
 
     Valid whenever the columns of the untruncated matrix are unit vectors,
     which holds for any conjugation coefficient matrix; gives an l2 bound on
-    everything a truncation at ``level`` discards.  Masses are accumulated
-    with compensated summation and the result is floored at the float
-    resolution limit rather than ever claiming a smaller tail.
+    everything a truncation at ``level`` discards.  Masses are accumulated in
+    extended precision, where the platform has it, so each comes back
+    correctly rounded, and the result is floored at :data:`TAIL_RESOLUTION`
+    rather than ever claiming a smaller tail.
     """
-    block = matrix[: level + 1, : cols + 1]
-    squares = np.abs(block) ** 2
-    out = np.empty(squares.shape[1])
-    for j in range(squares.shape[1]):
-        mass = math.fsum(squares[:, j])
-        out[j] = math.sqrt(max(1.0 - mass, _MASS_RESOLUTION * 10))
-    return out
+    squares = np.abs(matrix[: level + 1, : cols + 1]) ** 2
+    mass = np.sum(squares, axis=0, dtype=np.longdouble).astype(np.float64)
+    return np.sqrt(np.maximum(1.0 - mass, TAIL_RESOLUTION**2))
 
 
 @lru_cache(maxsize=64)
@@ -232,11 +228,14 @@ def scan_trigpoly_theorem(
     samples on the locus ``phi_1 = -(conj(alpha)/alpha) phi_{-1}`` (the locus
     satisfies the center-coefficient pairing equation yet must still fail).
     The theorem is reproduced when the passing set is exactly the constants
-    ``phi_1 = phi_{-1} = 0``.
+    ``phi_1 = phi_{-1} = 0``; a grid with an empty axis is refused, since it
+    would reproduce it vacuously.
     """
     from .conjugation import Composition, materialize
     from .symmetry import PASS, CheckConfig, run_all
 
+    if not (grid.minus and grid.zero and grid.plus):
+        raise ConjtoepError("scan grid has an empty axis")
     conj = materialize(Composition(params.alpha), degree)
     config = CheckConfig(degree=degree, tolerance=tol)
     locus_factor = -params.alpha.conjugate() / params.alpha

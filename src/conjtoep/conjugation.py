@@ -6,11 +6,11 @@ so that ``C x = A conj(x)``.  Such a matrix is automatically a symmetric
 unitary, and the same matrix acting linearly is the unique unitary factor of
 the canonical factorization ``C = U J`` (J = coordinatewise conjugation).
 
-Each conjugation carries a decay descriptor so downstream residual checks can
-compute exactness windows instead of assuming them: ``Banded`` families give
-windows by arithmetic, ``Geometric`` (dense) families carry Parseval tail
-bounds computed from the materialized columns, and ``ExactFinite`` marks
-genuinely finite-dimensional maps.
+Each conjugation also carries its ``band`` so downstream residual checks can
+compute exactness windows instead of assuming them: a banded matrix (all
+coefficients vanish beyond ``|m - n| > band``) gives windows by arithmetic,
+and a dense one (``band is None``) gets Parseval tail bounds measured from
+its materialized columns.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ from .hardy import ShiftOperator
 __all__ = [
     "NotConjugationError",
     "BasisError",
-    "Banded",
-    "Geometric",
-    "ExactFinite",
     "Conjugation",
     "BasisSpec",
     "CanonicalJ",
@@ -68,41 +65,19 @@ class BasisError(ConjtoepError):
 
 
 @dataclass(frozen=True)
-class Banded:
-    """All coefficients vanish beyond ``|m - n| > band``."""
-
-    band: int
-
-
-@dataclass(frozen=True)
-class Geometric:
-    """Dense coefficients with geometric decay; nominal ``|entry| <= const * ratio^k``.
-
-    Residual checks never consume these constants directly: the sound tail
-    bound is always recomputed from the materialized columns via
-    ``sqrt(1 - truncated column norm^2)``.
-    """
-
-    ratio: float
-    const: float
-
-
-@dataclass(frozen=True)
-class ExactFinite:
-    """The map genuinely lives on C^(degree+1); no truncation tail exists."""
-
-
-@dataclass(frozen=True)
 class Conjugation:
-    """Coefficient matrix of a conjugation plus its decay descriptor.
+    """Coefficient matrix of a conjugation plus its band.
 
-    ``family`` keeps the generating recipe when known so that dense families
-    can be re-materialized at a padded degree for tail-controlled checks.
+    ``band`` bounds ``|m - n|`` over the nonzero coefficients of the
+    untruncated matrix; ``None`` means dense.  A map that genuinely lives on
+    C^(degree+1) has band ``degree``.  ``family`` keeps the generating recipe
+    when known so that dense families can be re-materialized at a padded
+    degree for tail-controlled checks.
     """
 
     coeff: np.ndarray
     degree: int
-    decay: object
+    band: int | None
     family: object | None = None
     label: str = ""
     notes: tuple = ()
@@ -118,17 +93,9 @@ class Conjugation:
         if float(np.max(np.abs(m - m.T))) > 1e-9:
             raise NotConjugationError("coefficient matrix must be symmetric")
 
-    @property
-    def band(self) -> int | None:
-        if isinstance(self.decay, Banded):
-            return self.decay.band
-        if isinstance(self.decay, ExactFinite):
-            return self.degree
-        return None
-
     def tails(self, level: int, cols: int) -> np.ndarray:
         """Column tail bounds ``sqrt(1 - ||col[:level+1]||^2)`` for cols ``0..cols``."""
-        if isinstance(self.decay, (Banded, ExactFinite)):
+        if self.band is not None:
             return np.zeros(cols + 1)
         return column_tails(self.coeff, level, cols)
 
@@ -274,19 +241,18 @@ def materialize(spec, degree: int) -> Conjugation:
         raise ConjtoepError("degree must be nonnegative")
     n = degree + 1
     if isinstance(spec, CanonicalJ):
-        return Conjugation(np.eye(n, dtype=np.complex128), degree, Banded(0), spec, "canonical_j")
+        return Conjugation(np.eye(n, dtype=np.complex128), degree, 0, spec, "canonical_j")
     if isinstance(spec, ThetaXi):
         diag = np.array([diagonal_phase(k * spec.theta, spec.xi) for k in range(n)])
         label = f"theta_xi(theta={spec.theta:g}, xi={spec.xi:g})"
-        return Conjugation(np.diag(diag), degree, Banded(0), spec, label)
+        return Conjugation(np.diag(diag), degree, 0, spec, label)
     if isinstance(spec, AlphaDiagonal):
         diag = np.array([spec.value(k) ** 2 for k in range(n)])
-        return Conjugation(np.diag(diag), degree, Banded(0), spec, "alpha_diag")
+        return Conjugation(np.diag(diag), degree, 0, spec, "alpha_diag")
     if isinstance(spec, Composition):
         params = CompositionParams(spec.alpha)
         matrix = composition_matrix(params, degree)
-        decay = Geometric(ratio=abs(spec.alpha), const=params.beta)
-        return Conjugation(matrix, degree, decay, spec, f"composition(alpha={spec.alpha:g})")
+        return Conjugation(matrix, degree, None, spec, f"composition(alpha={spec.alpha:g})")
     if isinstance(spec, FromBasis):
         basis = spec.basis
         if degree < basis.degree:
@@ -296,7 +262,7 @@ def materialize(spec, degree: int) -> Conjugation:
             padded[: basis.degree + 1, :] = basis.columns
             basis = BasisSpec(padded, degree)
         conj = conjugation_from_fixed_basis(basis)
-        return Conjugation(conj.coeff, degree, conj.decay, spec, "from_basis", conj.notes)
+        return Conjugation(conj.coeff, degree, conj.band, spec, "from_basis", conj.notes)
     raise ConjtoepError(f"unknown family spec {spec!r}")
 
 
@@ -332,7 +298,7 @@ def conjugation_from_fixed_basis(
     notes = ()
     if k < n:
         notes = (f"identity-fixed completion beyond column {k - 1}",)
-    return Conjugation(coeff, basis.degree, Banded(band), None, "from_basis", notes)
+    return Conjugation(coeff, basis.degree, band, None, "from_basis", notes)
 
 
 def is_conjugation(
@@ -365,28 +331,18 @@ def unitarity_slack(c: Conjugation, w: Window) -> float:
     return float(np.sum(tails**2))
 
 
-def canonical_factorization(
-    c: Conjugation, tol: Tolerance = DEFAULT_TOLERANCE, window: Window | None = None
-) -> np.ndarray:
+def canonical_factorization(c: Conjugation, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
     """The unique unitary ``U`` with ``C = U J``.
 
-    Since ``C e_n = U e_n``, the unitary is the coefficient matrix itself
-    acting linearly; there is no gauge freedom.  The input is validated as a
-    conjugation first (with a Parseval slack for dense families, whose
-    truncations cannot be exactly unitary), and the returned matrix is
-    re-checked to reproduce the conjugation's action composed with J.
+    Since ``C e_n = U e_n``, the unitary is the (read-only) coefficient
+    matrix itself acting linearly; there is no gauge freedom.  The input is
+    validated as a conjugation first, with a Parseval slack for dense
+    families, whose truncations cannot be exactly unitary.
     """
-    w = window if window is not None else Window.full(c.degree + 1)
+    w = Window.full(c.degree + 1)
     if not is_conjugation(c.coeff, w, tol, unitarity_slack(c, w))[0]:
         raise NotConjugationError("not a conjugation")
-    u = c.coeff.copy()
-    rng = np.random.default_rng(0)
-    sample = rng.standard_normal((c.degree + 1, 4)) + 1j * rng.standard_normal((c.degree + 1, 4))
-    reproduced = u @ np.conj(sample)
-    direct = np.stack([apply_conjugation(c, sample[:, i]) for i in range(4)], axis=1)
-    if float(np.max(np.abs(reproduced - direct))) > tol.threshold(float(np.max(np.abs(sample)))):
-        raise NotConjugationError("factorization does not reproduce the conjugation")
-    return u
+    return c.coeff
 
 
 def shift_columns(a: np.ndarray, count: int) -> np.ndarray:
@@ -410,10 +366,8 @@ def shift_from_conjugation(c: Conjugation, degree: int | None = None) -> ShiftOp
     if n_deg > c.degree:
         raise ConjtoepError("requested degree exceeds the materialized conjugation")
     s = shift_columns(c.coeff[: n_deg + 1, : n_deg + 1], n_deg + 1)
-    band = None
-    if isinstance(c.decay, Banded):
-        band = min(2 * c.decay.band + 1, n_deg)
-    shift = ShiftOperator(s, n_deg, basis_label=f"f_n = C z^n, C = {c.label or 'custom'}", band=band)
+    band = None if c.band is None else min(2 * c.band + 1, n_deg)
+    shift = ShiftOperator(s, n_deg, band=band)
     if band is not None:
         exact = shift.exact_columns()
         if exact and shift.isometry_defect(exact - 1) > 1e-8:
@@ -425,7 +379,6 @@ def intertwine_lambda(
     c: Conjugation,
     basis: BasisSpec,
     tol: Tolerance = DEFAULT_TOLERANCE,
-    max_col: int | None = None,
 ) -> complex | None:
     """Recover the unimodular factor linking C to the shift of a basis.
 
@@ -442,7 +395,7 @@ def intertwine_lambda(
     if basis.orthonormality_defect() > tol.threshold(1.0) + 1e-8:
         raise BasisError("basis not orthonormal")
     n = c.degree + 1
-    w = (n - 2) if max_col is None else min(max_col, n - 2)
+    w = n - 2
     canonical_shift = np.eye(n, k=-1, dtype=np.complex128)
     s = b @ canonical_shift @ b.conj().T
     lhs = c.coeff[:, 1 : w + 2]
@@ -463,13 +416,13 @@ def working_coefficients(
 ) -> tuple[np.ndarray, int, float]:
     """Coefficient matrix padded until its measured tails meet ``cap``.
 
-    Banded and finite conjugations are already exact and come back
+    Banded conjugations (``band`` not None) are already exact and come back
     unchanged with zero tail.  Dense families are re-materialized at
     growing degrees until the Parseval tail over the needed columns drops
     below ``cap`` (or the hard degree ``limit`` is reached, in which case
     the honest tail is returned for the caller's verdict logic).
     """
-    if isinstance(c.decay, (Banded, ExactFinite)):
+    if c.band is not None:
         return c.coeff, c.degree, 0.0
     if isinstance(c.family, Composition):
         params = CompositionParams(c.family.alpha)

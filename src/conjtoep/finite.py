@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conjugation import Conjugation, ExactFinite, canonical_factorization
+from .conjugation import Conjugation, canonical_factorization
 from .core import ConjtoepError, require_coefficient, require_matrix
 from .hardy import LaurentSymbol, toeplitz_matrix
 from .symmetry import coefficient_defect, transpose_defect
@@ -81,13 +81,13 @@ def toeplitz_conjugation(size_minus_one: int) -> Conjugation:
     """Flip-and-conjugate map on C^(N+1); every Toeplitz matrix is symmetric for it.
 
     The coefficient matrix is the anti-diagonal permutation (ones exactly
-    where the two indices sum to N).
+    where the two indices sum to N); its band is N, the whole matrix.
     """
     if size_minus_one < 0:
         raise ConjtoepError("size must be positive")
     n = size_minus_one + 1
     coeff = np.fliplr(np.eye(n, dtype=np.complex128))
-    return Conjugation(coeff, size_minus_one, ExactFinite(), None, "toeplitz_conjugation")
+    return Conjugation(coeff, size_minus_one, size_minus_one, None, "toeplitz_conjugation")
 
 
 def finite_symmetry_criterion(t: FiniteToeplitz, conj: Conjugation) -> tuple[bool, float]:

@@ -110,7 +110,6 @@ class ShiftOperator(TruncatedOperator):
     of the untruncated isometry.
     """
 
-    basis_label: str = ""
     band: int | None = None
 
     def exact_columns(self) -> int | None:

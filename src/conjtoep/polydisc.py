@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .conjugation import Banded, Conjugation, diagonal_phase
+from .conjugation import Conjugation, diagonal_phase
 from .core import ConjtoepError, Tolerance, DEFAULT_TOLERANCE, decide, require_coefficient
 from .hardy import TruncatedOperator, toeplitz_gather
 from .symmetry import definition_residual, transpose_defect
@@ -190,7 +190,7 @@ def poly_conjugation(theta, xi, box: BoxTruncation) -> Conjugation:
             kt += kj * tj
         diag[i] = diagonal_phase(kt, xi_sum)
     label = f"poly_theta_xi(d={box.d})"
-    return Conjugation(np.diag(diag), box.size - 1, Banded(0), None, label)
+    return Conjugation(np.diag(diag), box.size - 1, 0, None, label)
 
 
 def check_poly_criterion(
@@ -227,10 +227,12 @@ def poly_check_definition(
     theta,
     xi,
     box: BoxTruncation,
-    window=None,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> PolyDefinitionResult:
     """Brute-force ``C T* C = T`` on the flat matrices, windowed per axis.
+
+    The window on axis ``i`` is ``n_i - band_i``, where every entry of the
+    truncated product is exact.
 
     Also reports the twisted-coefficient mismatch
     ``max |phi(k - l) - <T (C z^k), (C z^l)>|`` over window pairs, the
@@ -238,11 +240,8 @@ def poly_check_definition(
     """
     if phi.d != box.d:
         raise ConjtoepError("symbol and box dimensions differ")
-    band = phi.band
-    if window is None:
-        window = tuple(n - b for n, b in zip(box.degrees, band))
-    window = tuple(int(w) for w in window)
-    if any(w < 0 for w in window) or any(w > n for w, n in zip(window, box.degrees)):
+    window = tuple(n - b for n, b in zip(box.degrees, phi.band))
+    if any(w < 0 for w in window):
         raise ConjtoepError("window does not fit the box")
 
     conj = poly_conjugation(theta, xi, box)
@@ -254,19 +253,18 @@ def poly_check_definition(
     return PolyDefinitionResult(verdict, residual, tilde_mismatch, window)
 
 
-def doubly_commuting_residual(conj: Conjugation, box: BoxTruncation, window=None) -> dict:
+def doubly_commuting_residual(conj: Conjugation, box: BoxTruncation) -> dict:
     """Shift-tuple diagnostics for ``S_i = C M_{z_i} C``.
 
     Returns the maximum commutator and star-commutator residuals over axis
-    pairs on the window, plus the dimension of the joint wandering space
-    (the intersection of the adjoint kernels restricted to the window),
-    which is 1 for any conjugated coordinate-shift tuple.
+    pairs on the window ``n_i - 1`` per axis, plus the dimension of the
+    joint wandering space (the intersection of the adjoint kernels
+    restricted to the window), which is 1 for any conjugated
+    coordinate-shift tuple.
     """
     if conj.degree != box.size - 1:
         raise ConjtoepError("conjugation degree does not match the box")
-    if window is None:
-        window = tuple(max(0, n - 1) for n in box.degrees)
-    positions = box.window_positions(window)
+    positions = box.window_positions(tuple(max(0, n - 1) for n in box.degrees))
     # M_{z_i} moves row flat(k) to flat(k + e_i), whose code is one place
     # value higher; rows with k_i = n_i leave the box
     a = conj.coeff

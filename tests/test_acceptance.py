@@ -12,7 +12,6 @@ import pytest
 from conjtoep.composition import CompositionParams, TrigpolyGrid, scan_trigpoly_theorem, u_entry
 from conjtoep.conjugation import (
     AlphaDiagonal,
-    Banded,
     BasisSpec,
     CanonicalJ,
     Composition,
@@ -358,7 +357,7 @@ def test_intertwiner_recovery():
         w = random_unitary(degree + 1, rng)
         u = w @ w.T
         lam = complex(_random_phase(rng))
-        conj = Conjugation(lam * u, degree, Banded(degree))
+        conj = Conjugation(lam * u, degree, degree)
         got = intertwine_lambda(conj, BasisSpec(u, degree))
         if got is not None and abs(got - lam) < 1e-10:
             recovered += 1

@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
+import conjtoep.cli as cli
 from conjtoep.cli import (
     EXIT_BAD_INPUT,
     EXIT_FAIL,
     EXIT_INVARIANT,
     EXIT_PASS,
+    EXIT_UNEXPECTED,
     main,
 )
 
@@ -52,7 +54,7 @@ def test_check_constant_with_composition(capsys):
 def test_factor_canonical(capsys):
     code, payload = run(capsys, "factor", "--conj", '{"family": "canonical_j"}', "--degree", "4")
     assert code == EXIT_PASS
-    assert payload["residuals"] == {"symmetry": 0.0, "unitarity": 0.0, "reconstruction": 0.0}
+    assert payload["residuals"] == {"symmetry": 0.0, "unitarity": 0.0}
 
 
 def test_factor_quarter_turn_diagonal(capsys):
@@ -161,6 +163,36 @@ def test_malformed_json_exits_64(capsys):
 def test_missing_field_exits_64(capsys):
     code = main(["check", "--symbol", '{"wrong": 1}', "--conj", THETA_PI])
     assert code == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize(
+    "symbol, conj",
+    [
+        ('{"coeffs": []}', '{"family": "canonical_j"}'),
+        ('{"coeffs": {"1": [1, 0]}}', '{"family": "basis", "columns": []}'),
+    ],
+)
+def test_malformed_shape_exits_64(capsys, symbol, conj):
+    code = main(["check", "--symbol", symbol, "--conj", conj])
+    assert code == EXIT_BAD_INPUT
+    assert "malformed input" in capsys.readouterr().err
+
+
+def test_error_after_parsing_exits_70(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("library defect")
+
+    monkeypatch.setattr(cli, "run_all", broken)
+    code = main(["check", "--symbol", Z_MINUS_ZBAR, "--conj", THETA_PI])
+    assert code == EXIT_UNEXPECTED
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "library defect" in err
+
+
+def test_empty_scan_grid_exits_65(capsys):
+    code = main(["scan-trigpoly", "--alpha", "0.5", "--grid-points", "0"])
+    assert code == EXIT_INVARIANT
+    assert "empty" in capsys.readouterr().err
 
 
 SPEC_ARGS = {

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conjtoep.composition import (
+    TAIL_RESOLUTION,
     CompositionParams,
     TrigpolyGrid,
     check_w_symmetry_conditions,
@@ -12,12 +13,12 @@ from conjtoep.composition import (
     scan_trigpoly_theorem,
     u_entry,
 )
-from conjtoep.conjugation import Composition, is_conjugation, materialize
+from conjtoep.conjugation import Composition, is_conjugation, materialize, working_coefficients
 from conjtoep.core import ConjtoepError, Tolerance, Window
 from conjtoep.hardy import LaurentSymbol
 from conjtoep.symmetry import PASS, run_all
 
-from oracles import u_entry_oracle
+from oracles import column_tails_fsum, u_entry_oracle
 
 
 ALPHAS = [0.3, 0.5 * np.exp(1j * np.pi / 4), 0.7j]
@@ -98,6 +99,27 @@ def test_row_mass_converges_to_one_with_geometric_remainder():
         assert mass <= 1 + 1e-12
         tail = column_tails(m, 96, i)[i]
         assert abs(1 - mass) <= tail**2 + 1e-12
+
+
+def test_column_tails_match_fsum_oracle_and_choose_the_same_padding():
+    rng = np.random.default_rng(2026)
+    for _ in range(40):
+        alpha = rng.uniform(0.05, 0.95) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        degree = int(rng.integers(16, 40))
+        band = int(rng.integers(0, 3))
+        cols, margin = min(8, degree - band - 2) + band + 2, band + 1
+        conj = materialize(Composition(alpha), degree)
+        matrix, work_degree, _ = working_coefficients(conj, cols=cols, margin=margin, cap=0.0)
+        # the growth sequence of the padding search; smaller truncations are
+        # leading blocks of the padded matrix
+        d = max(degree, cols + margin + 8)
+        while True:
+            oracle = column_tails_fsum(matrix, d - margin, cols, TAIL_RESOLUTION)
+            np.testing.assert_allclose(column_tails(matrix, d - margin, cols), oracle, rtol=0, atol=1e-9)
+            if np.max(oracle) <= TAIL_RESOLUTION:
+                break
+            d = int(d * 1.6) + 8
+        assert work_degree == d
 
 
 def test_materialized_composition_is_conjugation_on_tail_window():

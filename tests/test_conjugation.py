@@ -5,13 +5,11 @@ from conjtoep.core import ConjtoepError, Window
 from conjtoep.composition import TAIL_RESOLUTION
 from conjtoep.conjugation import (
     AlphaDiagonal,
-    Banded,
     BasisError,
     BasisSpec,
     CanonicalJ,
     Composition,
     FromBasis,
-    Geometric,
     NotConjugationError,
     ThetaXi,
     apply_conjugation,
@@ -202,7 +200,7 @@ def test_factorization_rejects_non_conjugation():
     from conjtoep.conjugation import Conjugation
 
     with pytest.raises(NotConjugationError, match="not a conjugation"):
-        canonical_factorization(Conjugation(broken, 3, Banded(0)))
+        canonical_factorization(Conjugation(broken, 3, 0))
 
 
 def test_shift_from_canonical_is_coordinate_multiplication():
@@ -242,7 +240,7 @@ def test_intertwine_recovers_scalar_phase():
     from conjtoep.conjugation import Conjugation
 
     lam_true = np.exp(1j * np.pi / 3)
-    c = Conjugation(lam_true * np.eye(6, dtype=complex), 5, Banded(0))
+    c = Conjugation(lam_true * np.eye(6, dtype=complex), 5, 0)
     basis = BasisSpec(np.eye(6, dtype=complex), 5)
     lam = intertwine_lambda(c, basis)
     assert lam is not None
@@ -321,6 +319,4 @@ def test_family_spec_json_round_trip():
 
 def test_materialized_composition_decay_descriptor():
     c = materialize(Composition(0.6), 12)
-    assert isinstance(c.decay, Geometric)
-    assert c.decay.ratio == pytest.approx(0.6)
-    assert c.decay.const == pytest.approx(np.sqrt(1 - 0.36))
+    assert c.band is None

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conjtoep.conjugation import Banded, Conjugation, materialize, CanonicalJ, is_conjugation
+from conjtoep.conjugation import Conjugation, materialize, CanonicalJ, is_conjugation
 from conjtoep.core import ConjtoepError, Window, random_symmetric_unitary
 from conjtoep.finite import (
     FiniteToeplitz,
@@ -77,7 +77,7 @@ def test_criteria_agree_on_random_pairs():
         elif pick == 1:
             conj = toeplitz_conjugation(n)
         else:
-            conj = Conjugation(random_symmetric_unitary(n + 1, rng), n, Banded(n))
+            conj = Conjugation(random_symmetric_unitary(n + 1, rng), n, n)
         ok_coeff, _ = finite_symmetry_criterion(t, conj)
         ok_general, _ = general_symmetry(t.matrix(), conj)
         assert ok_coeff == ok_general
@@ -89,7 +89,7 @@ def test_general_matches_anti_linear_definition_residual():
     for _ in range(20):
         n = int(rng.integers(1, 7))
         t = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))
-        conj = Conjugation(random_symmetric_unitary(n + 1, rng), n, Banded(n))
+        conj = Conjugation(random_symmetric_unitary(n + 1, rng), n, n)
         _, residual = general_symmetry(t, conj)
         a = conj.coeff
         direct = float(np.linalg.norm(a @ t.T @ np.conj(a) - t))
