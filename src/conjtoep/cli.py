@@ -138,15 +138,6 @@ def _pretty(payload: dict, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def _effective_config(config: CheckConfig, degree: int) -> dict:
-    return {
-        "degree": degree,
-        "jk_max": config.jk_max,
-        "window": config.window,
-        "tolerance": {"absolute": config.tolerance.absolute, "relative": config.tolerance.relative},
-    }
-
-
 def _exit_from_overall(overall: str) -> int:
     return {PASS: EXIT_PASS, FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}[overall]
 
@@ -156,13 +147,13 @@ def _cmd_check(args) -> int:
         phi = LaurentSymbol.from_json_dict(_load_json_arg(args.symbol))
         family = parse_family_spec(_load_json_arg(args.conj))
         degree = args.degree if args.degree is not None else _default_degree()
-        config = CheckConfig(
-            degree=degree, jk_max=args.kmax, window=args.window, tolerance=_tolerance(args)
-        )
+        config = CheckConfig(degree=degree, window=args.window, tolerance=_tolerance(args))
     conj = materialize(family, degree)
     report = run_all(phi, conj, config)
     payload = report.to_json_dict()
-    payload["config"] = _effective_config(config, degree)
+    payload["config"] = {
+        "degree": degree, "window": payload["window"][0], "tolerance": payload["tolerance"]
+    }
     _emit(payload, args)
     return _exit_from_overall(report.overall())
 
@@ -193,14 +184,14 @@ def _cmd_xy(args) -> int:
         phi = LaurentSymbol.from_json_dict(_load_json_arg(args.symbol))
         family = parse_family_spec(_load_json_arg(args.conj))
         degree = args.degree if args.degree is not None else _default_degree()
-        config = CheckConfig(degree=degree, jk_max=args.kmax, tolerance=_tolerance(args))
+        config = CheckConfig(degree=degree, window=args.window, tolerance=_tolerance(args))
     conj = materialize(family, degree)
     outcome = check_xy(phi, conj, config=config)
-    k_max = outcome.details["k_max"]
+    window = outcome.details["window"]
     trunc = outcome.details["trunc"]
     systems = []
-    for k in range(k_max + 1):
-        system = build_xy(conj, k, trunc, phi=phi, rows=k_max)
+    for k in range(window + 1):
+        system = build_xy(conj, k, trunc, phi=phi, rows=window)
         systems.append(
             {
                 "k": k,
@@ -213,7 +204,7 @@ def _cmd_xy(args) -> int:
         "verdict": outcome.verdict,
         "residual": outcome.residual,
         "systems": systems,
-        "config": {"degree": degree, "k_max": k_max, "trunc": trunc},
+        "config": {"degree": degree, "window": window, "trunc": trunc},
     }
     _emit(payload, args)
     return _exit_from_overall(outcome.verdict)
@@ -311,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("--tol-abs", {"type": float, "default": 1e-12}),
         ("--tol-rel", {"type": float, "default": 1e-10}),
     )
-    kmax = flags(("--kmax", {"type": int}))
     window = flags(("--window", {"type": int}))
     output = flags(
         ("--out", {"help": "write the report to this path"}),
@@ -324,14 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     command("check", _cmd_check, "run the full one-variable criterion suite",
-            [symbol, conj, degree, tolerance, kmax, window])
+            [symbol, conj, degree, tolerance, window])
     command("check-poly", _cmd_check_poly, "polydisc coefficient and definition checks",
             [symbol, conj, box, tolerance])
     command("check-finite", _cmd_check_finite, "exact finite-dimensional checks", [symbol, conj])
     command("factor", _cmd_factor, "canonical factorization C = U J with residuals",
             [conj, degree, tolerance])
     command("xy", _cmd_xy, "emit the truncated X(k)/Y(k) systems and residuals",
-            [symbol, conj, degree, tolerance, kmax])
+            [symbol, conj, degree, tolerance, window])
     p_scan = command("scan-trigpoly", _cmd_scan_trigpoly, "grid scan of band-1 symbols for one alpha",
                      [tolerance])
     p_scan.add_argument("--alpha", required=True, help="re,im or JSON {\"alpha\": [re, im]}")

@@ -13,6 +13,7 @@ images of basis vectors.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +119,10 @@ DEFAULT_TOLERANCE = Tolerance()
 
 def decide(residual: float, threshold: float, tail: float) -> str:
     """Tail-aware verdict: ``inconclusive`` only when a residual above the
-    threshold is within a tail larger than the threshold."""
+    threshold is within a tail larger than the threshold.  Non-finite input
+    (an overflow) is refused, since every comparison with NaN is false."""
+    if not (math.isfinite(residual) and math.isfinite(threshold) and math.isfinite(tail)):
+        raise ConjtoepError("non-finite residual, threshold or tail bound")
     if tail <= threshold:
         return PASS if residual <= threshold + tail else FAIL
     if residual > threshold + tail:

@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conjugation import Conjugation, materialize, shift_columns, working_coefficients
+from .conjugation import Conjugation, family_spec_to_dict, materialize
+from .conjugation import shift_columns, working_coefficients
 from .core import (
     FAIL,
     INCONCLUSIVE,
@@ -96,15 +97,15 @@ class CriterionDisagreement(ConjtoepError):
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """Degrees, ranges, and tolerances for a criterion run.
+    """Degree, index window, and tolerances for a criterion run.
 
-    ``window`` and ``jk_max`` default to computed exactness-respecting
-    ranges; ``pad_limit`` caps the internal degree used to tame dense
-    conjugation tails.
+    ``window`` bounds the one index range ``0..window`` every criterion
+    checks; it defaults to the largest exactness-respecting range (8 for
+    dense conjugations).  ``pad_limit`` caps the internal degree used to
+    tame dense conjugation tails.
     """
 
     degree: int = 32
-    jk_max: int | None = None
     window: int | None = None
     tolerance: Tolerance = DEFAULT_TOLERANCE
     pad_limit: int = 4096
@@ -136,7 +137,6 @@ class SymmetryReport:
     window: Window
     tolerance: Tolerance
     tail_bound: float
-    jk_max: int
     degree: int
     work_degree: int
     notes: tuple = ()
@@ -163,7 +163,6 @@ class SymmetryReport:
                 "relative": self.tolerance.relative,
             },
             "tail_bound": float(self.tail_bound),
-            "jk_max": self.jk_max,
             "degree": self.degree,
             "work_degree": self.work_degree,
             "notes": list(self.notes),
@@ -198,7 +197,6 @@ class _Plan:
     threshold: float
     degree: int
     window: int
-    jk_max: int
     a_work: np.ndarray
     t_work: np.ndarray
     work_degree: int
@@ -214,28 +212,26 @@ def _make_plan(phi: LaurentSymbol, conj: Conjugation, config: CheckConfig | None
     scale = max(1.0, phi.l1_norm())
     threshold = tol.threshold(scale)
 
+    # Every criterion reads indices up to window + max(reach, 1): banded C T* C
+    # is exact up to n - (2 band_c + band), and X/Y reads one column beyond.
     band_c = conj.band
+    reach = band if band_c is None else 2 * band_c + band
+    if config.window is not None:
+        window = config.window
+    elif band_c is not None:
+        window = n - max(reach, 1)
+    else:
+        window = min(8, n - band - 2)
+    if window < band or window < 0:
+        raise ConjtoepError("degree too small for the requested band")
     if band_c is not None:
-        w_limit = n - (2 * band_c + band)
-        window = w_limit if config.window is None else config.window
-        if window > w_limit:
-            raise ExactnessError("exactness window violated")
-        if window < band or window < 0:
-            raise ConjtoepError("degree too small for the requested band")
         a_work, work_degree, tail = conj.coeff, n, 0.0
     else:
-        window = min(8, n - band - 2) if config.window is None else config.window
-        if window < band or window < 0:
-            raise ConjtoepError("degree too small for the requested band")
         cap = threshold / (2.0 * _TAIL_FACTOR * (window + 1) * scale)
         a_work, work_degree, tail = working_coefficients(
             conj, cols=window + band + 2, margin=band + 1, cap=cap, limit=config.pad_limit
         )
-
-    jk_max = config.jk_max if config.jk_max is not None else min(8, n - band - 2)
-    if jk_max < 0:
-        raise ConjtoepError("degree too small for the requested band")
-    if jk_max + band > work_degree or jk_max + max(band, 1) > work_degree:
+    if window + max(reach, 1) > work_degree:
         raise ExactnessError("exactness window violated")
 
     t_work = toeplitz_matrix(phi, work_degree).matrix
@@ -248,7 +244,6 @@ def _make_plan(phi: LaurentSymbol, conj: Conjugation, config: CheckConfig | None
         threshold=threshold,
         degree=n,
         window=window,
-        jk_max=jk_max,
         a_work=a_work,
         t_work=t_work,
         work_degree=work_degree,
@@ -310,13 +305,10 @@ def check_transpose_basis(
 
 def _conjugated_toeplitz(plan: _Plan) -> CriterionResult:
     w = plan.window
-    we = min(w + 1, plan.work_degree)
-    fe = plan.a_work[:, : we + 1]
+    fe = plan.a_work[:, : w + 1]
     product = fe.conj().T @ plan.t_work @ fe
     _, toep_residual = is_toeplitz(product, Window.square(w), plan.tolerance)
-    matrix_residual = float(
-        np.linalg.norm(product[: w + 1, : w + 1] - plan.t_work[: w + 1, : w + 1].T)
-    )
+    matrix_residual = float(np.linalg.norm(product - plan.t_work[: w + 1, : w + 1].T))
     residual = max(matrix_residual, toep_residual)
     verdict = decide(residual, plan.threshold, plan.tail_bound)
     toeplitz_flag = decide(toep_residual, plan.threshold, plan.tail_bound) == PASS
@@ -352,10 +344,10 @@ def coefficient_defect(a: np.ndarray, t: np.ndarray, jk: int, rows: int) -> floa
 
 
 def _coefficient_equations(plan: _Plan) -> CriterionResult:
-    jk = plan.jk_max
-    residual = coefficient_defect(plan.a_work, plan.t_work, jk, jk + plan.phi.band + 1)
+    w = plan.window
+    residual = coefficient_defect(plan.a_work, plan.t_work, w, w + plan.phi.band + 1)
     verdict = decide(residual, plan.threshold, 0.0)
-    return CriterionResult(verdict, residual, 0.0, {"jk_max": jk})
+    return CriterionResult(verdict, residual, 0.0, {"window": w})
 
 
 def check_coefficient_equations(
@@ -363,7 +355,7 @@ def check_coefficient_equations(
     conj: Conjugation,
     config: CheckConfig | None = None,
 ) -> CriterionResult:
-    """Two-sided coefficient identities over all pairs ``0 <= j, k <= jk_max``.
+    """Two-sided coefficient identities over all pairs ``0 <= j, k <= window``.
 
     Every sum is a complete finite sum for a banded symbol, and the
     conjugation coefficients are exact at any index, so this criterion is
@@ -372,17 +364,18 @@ def check_coefficient_equations(
     return _coefficient_equations(_make_plan(phi, conj, config))
 
 
-def _xy_matrices(a: np.ndarray, ks: np.ndarray, trunc: int, rows: int):
+def _xy_matrices(a: np.ndarray, ks: range, trunc: int, rows: int):
     """The :func:`build_xy` matrices with rows ``j = 0..rows`` for every ``k``
-    in ``ks``, stacked on a leading axis and gathered from the coefficient
-    array ``a`` by index arithmetic."""
-    k = ks[:, None, None]
-    j = np.arange(rows + 1)[None, :, None]
-    m = np.arange(1, trunc + 1)[None, None, :]
-    x = a[m + k, j] - a[k, m + j]
-    y = np.where(m <= j, a[k, np.maximum(j - m, 0)], 0) - np.where(
-        m <= k, a[np.maximum(k - m, 0), j], 0
-    )
+    in the contiguous range ``ks``, stacked on a leading axis; column
+    ``m - 1`` of all of them is cut from shifted slices of the coefficient
+    array ``a``."""
+    k0, k1 = ks.start, ks.stop
+    x = np.empty((len(ks), rows + 1, trunc), dtype=a.dtype)
+    y = np.zeros_like(x)
+    for m in range(1, trunc + 1):
+        x[:, :, m - 1] = a[k0 + m : k1 + m, : rows + 1] - a[k0:k1, m : m + rows + 1]
+        y[:, m:, m - 1] = a[k0:k1, : max(rows + 1 - m, 0)]
+        y[max(m - k0, 0) :, :, m - 1] -= a[max(k0 - m, 0) : max(k1 - m, 0), : rows + 1]
     return x, y
 
 
@@ -416,28 +409,29 @@ def build_xy(
     needed = max(trunc + k, k, n_rows, trunc + n_rows)
     if needed > conj.degree:
         raise ExactnessError("exactness window violated")
-    x, y = _xy_matrices(conj.coeff, np.array([k]), trunc, n_rows)
+    x, y = _xy_matrices(conj.coeff, range(k, k + 1), trunc, n_rows)
     plus, minus = _phi_vectors(LaurentSymbol() if phi is None else phi, trunc)
     return XYSystem(k, x[0], y[0], plus, minus)
 
 
 def _xy(plan: _Plan) -> CriterionResult:
     trunc = max(plan.phi.band, 1)
-    jk = plan.jk_max
-    x, y = _xy_matrices(plan.a_work, np.arange(jk + 1), trunc, jk)
+    w = plan.window
+    x, y = _xy_matrices(plan.a_work, range(w + 1), trunc, w)
     plus, minus = _phi_vectors(plan.phi, trunc)
     per_k = np.max(np.abs(x @ plus - y @ minus), axis=1)
     residual = float(np.max(per_k))
     verdict = decide(residual, plan.threshold, 0.0)
     return CriterionResult(
-        verdict, residual, 0.0, {"per_k": per_k.tolist(), "trunc": trunc, "k_max": jk}
+        verdict, residual, 0.0, {"per_k": per_k.tolist(), "trunc": trunc, "window": w}
     )
 
 
 def check_xy(
     phi: LaurentSymbol, conj: Conjugation, config: CheckConfig | None = None
 ) -> CriterionResult:
-    """Verify ``X(k) Phi+ = Y(k) Phi-`` for ``k = 0..config.jk_max``.
+    """Verify ``X(k) Phi+ = Y(k) Phi-`` with rows ``j = 0..window`` for
+    ``k = 0..window``.
 
     Equivalent, equation by equation, to the coefficient identities; the
     two are cross-asserted as an oracle property in the test suite.
@@ -499,17 +493,26 @@ def run_all(
     core_verdicts = {k: results[k].verdict for k in CRITERIA}
     decisive = set(core_verdicts.values()) - {INCONCLUSIVE}
     if PASS in decisive and FAIL in decisive:
+        known = conj.family is not None
         dump = {
             "symbol": json.loads(phi.to_json()),
-            "conjugation": conj.label or "custom",
+            "conjugation": family_spec_to_dict(conj.family) if known else conj.label or "custom",
             "degree": plan.degree,
             "work_degree": plan.work_degree,
             "window": plan.window,
-            "jk_max": plan.jk_max,
             "verdicts": core_verdicts,
             "residuals": {k: results[k].residual for k in CRITERIA},
             "tail_bound": plan.tail_bound,
         }
+        # ``conjtoep check`` cannot set ``pad_limit``, so only runs at its
+        # default can be replayed from the command line.
+        if known and config.pad_limit == CheckConfig.pad_limit:
+            window = [] if config.window is None else ["--window", str(config.window)]
+            dump["replay"] = [
+                "check", "--symbol", phi.to_json(), "--conj", json.dumps(dump["conjugation"]),
+                "--degree", str(plan.degree), *window,
+                "--tol-abs", repr(plan.tolerance.absolute), "--tol-rel", repr(plan.tolerance.relative),
+            ]
         raise CriterionDisagreement(
             "equivalent criteria disagree; this is a library defect: "
             + json.dumps(_jsonable(dump)),
@@ -528,7 +531,6 @@ def run_all(
         window=Window.square(plan.window),
         tolerance=plan.tolerance,
         tail_bound=max(r.tail_bound for r in results.values()),
-        jk_max=plan.jk_max,
         degree=plan.degree,
         work_degree=plan.work_degree,
         notes=notes,

@@ -1,17 +1,24 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 import conjtoep.cli as cli
+import conjtoep.symmetry as symmetry
 from conjtoep.cli import (
     EXIT_BAD_INPUT,
+    EXIT_DISAGREEMENT,
     EXIT_FAIL,
     EXIT_INVARIANT,
     EXIT_PASS,
     EXIT_UNEXPECTED,
     main,
 )
+from conjtoep.conjugation import Composition, Conjugation, ThetaXi
+from conjtoep.core import Tolerance
+from conjtoep.hardy import LaurentSymbol
+from conjtoep.symmetry import CheckConfig, CriterionDisagreement, CriterionResult, run_all
 
 Z_MINUS_ZBAR = '{"coeffs": {"1": [1, 0], "-1": [-1, 0]}}'
 Z_PLUS_ZBAR = '{"coeffs": {"1": [1, 0], "-1": [1, 0]}}'
@@ -93,7 +100,7 @@ def test_xy_constant_symbol(capsys):
 
 
 def test_xy_twisted_pass_and_untwisted_fail(capsys):
-    code, payload = run(capsys, "xy", "--symbol", Z_MINUS_ZBAR, "--conj", THETA_PI, "--kmax", "8")
+    code, payload = run(capsys, "xy", "--symbol", Z_MINUS_ZBAR, "--conj", THETA_PI, "--window", "8")
     assert code == EXIT_PASS
     assert all(system["residual"] <= 1e-12 for system in payload["systems"])
 
@@ -219,6 +226,7 @@ FLAG_VALUES = {
 }
 UNREAD_FLAGS = [
     ("check", "--box"),
+    ("check", "--kmax"),
     ("check-poly", "--degree"),
     ("check-poly", "--kmax"),
     ("check-poly", "--window"),
@@ -232,7 +240,7 @@ UNREAD_FLAGS = [
     ("factor", "--kmax"),
     ("factor", "--window"),
     ("xy", "--box"),
-    ("xy", "--window"),
+    ("xy", "--kmax"),
 ]
 
 
@@ -254,11 +262,11 @@ def test_usage_errors_exit_64(capsys, argv):
 
 
 READ_FLAGS = {
-    "check": ["--degree", "--tol-abs", "--tol-rel", "--kmax", "--window"],
+    "check": ["--degree", "--tol-abs", "--tol-rel", "--window"],
     "check-poly": ["--tol-abs", "--tol-rel"],
     "check-finite": [],
     "factor": ["--degree", "--tol-abs", "--tol-rel"],
-    "xy": ["--degree", "--tol-abs", "--tol-rel", "--kmax"],
+    "xy": ["--degree", "--tol-abs", "--tol-rel", "--window"],
 }
 
 
@@ -287,6 +295,82 @@ def test_non_finite_symbol_exits_65(capsys):
     code = main(argv)
     assert code == EXIT_INVARIANT
     assert "finite" in capsys.readouterr().err
+
+
+def test_alpha_diag_asymmetry_fails_in_every_criterion(capsys):
+    # the phases alpha_k^2 are -1, 1, 1, ...: the symmetry relations hold on
+    # rows 0..1 and break from row 2 on, inside the window 0..3 that every
+    # criterion checks
+    code, payload = run(
+        capsys,
+        "check",
+        "--symbol",
+        '{"coeffs": {"1": [1, 0], "-1": [-1, 0], "0": [0.5, 0.25]}}',
+        "--conj",
+        '{"family": "alpha_diag", "alphas": [[0, 1], [1, 0]], "period": 1}',
+        "--degree",
+        "4",
+    )
+    assert code == EXIT_FAIL
+    assert set(payload["verdicts"].values()) == {"fail"}
+    assert payload["config"]["window"] == payload["window"][0] == 3
+
+
+def test_overflowing_symbol_exits_65(capsys):
+    # the l1 norm of two finite 1e308 coefficients overflows; no verdict
+    # may come from non-finite arithmetic
+    code = main(
+        [
+            "check",
+            "--symbol",
+            '{"coeffs": {"0": [1e308, 0], "1": [1e308, 0]}}',
+            "--conj",
+            '{"family": "theta_xi", "theta": 1, "xi": 0}',
+            "--degree",
+            "4",
+        ]
+    )
+    assert code == EXIT_INVARIANT
+    assert "non-finite" in capsys.readouterr().err
+
+
+# symmetric for every conjugation, so a failing X/Y criterion disagrees
+CONSTANT = LaurentSymbol({0: 2 + 1j})
+
+
+def _forced_disagreement(monkeypatch):
+    monkeypatch.setattr(symmetry, "_xy", lambda plan: CriterionResult("fail", 1.0))
+
+
+@pytest.mark.parametrize(
+    "family, expected",
+    [
+        (ThetaXi(math.pi, 0.0), {"family": "theta_xi", "theta": math.pi, "xi": 0.0}),
+        (Composition(0.5), {"family": "composition", "alpha": [0.5, 0.0]}),
+    ],
+)
+def test_disagreement_dump_replays_through_the_cli(capsys, monkeypatch, family, expected):
+    _forced_disagreement(monkeypatch)
+    config = CheckConfig(degree=12, window=5, tolerance=Tolerance(1e-11, 3e-10))
+    with pytest.raises(CriterionDisagreement) as info:
+        run_all(CONSTANT, family, config)
+    dump = info.value.dump
+    assert dump["conjugation"] == expected
+    assert main(dump["replay"]) == EXIT_DISAGREEMENT
+    assert capsys.readouterr().err == f"internal criterion disagreement: {info.value}\n"
+
+
+def test_disagreement_dump_without_replay(monkeypatch):
+    # a conjugation without a family, or a pad limit the CLI cannot set,
+    # cannot be replayed from the command line
+    _forced_disagreement(monkeypatch)
+    with pytest.raises(CriterionDisagreement) as info:
+        run_all(CONSTANT, Conjugation(np.eye(13), 12, 0))
+    assert info.value.dump["conjugation"] == "custom" and "replay" not in info.value.dump
+    with pytest.raises(CriterionDisagreement) as info:
+        run_all(CONSTANT, ThetaXi(math.pi, 0.0), CheckConfig(degree=12, pad_limit=100))
+    assert info.value.dump["conjugation"]["family"] == "theta_xi"
+    assert "replay" not in info.value.dump
 
 
 def test_invariant_violation_exits_65(capsys):

@@ -1,21 +1,26 @@
 """Property tests of the symbol parsers (exact JSON round trips of finite
-coefficients, refusal of non-finite ones on construction) and of the CLI's
-exit codes over malformed JSON specs."""
+coefficients, refusal of non-finite ones on construction), of the CLI's
+exit codes over malformed JSON specs, and of the criterion suite (one index
+window for all five criteria, no verdict from overflowed arithmetic)."""
 
+import cmath
 import contextlib
 import io
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conjtoep.cli import main
-from conjtoep.core import ConjtoepError
+from conjtoep.conjugation import AlphaDiagonal, CanonicalJ, ThetaXi, materialize
+from conjtoep.core import FAIL, PASS, ConjtoepError
 from conjtoep.finite import FiniteToeplitz
 from conjtoep.hardy import LaurentSymbol
 from conjtoep.polydisc import PolySymbol
+from conjtoep.symmetry import CheckConfig, CriterionDisagreement, run_all
 
 finite = st.builds(complex, st.floats(allow_nan=False, allow_infinity=False),
                    st.floats(allow_nan=False, allow_infinity=False))
@@ -161,10 +166,80 @@ def invocations(draw):
     return argv
 
 
-@settings(max_examples=200)
 @given(invocations())
 def test_cli_exit_code_is_total_over_malformed_specs(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 64, 65), (code, argv, err.getvalue())
+
+
+angle = st.floats(0, 2 * math.pi)
+
+
+@st.composite
+def planted_asymmetry(draw):
+    """A symbol symmetric for ``ThetaXi(theta, xi)`` and the ``AlphaDiagonal``
+    square roots of that phase with one unimodular factor ``e^{i gamma}``
+    applied from index ``p`` onward.  Entry ``(p, p - 1)`` of ``C T* C - T``
+    is then ``phi_1 (e^{2 i gamma} - 1) != 0``, and every entry among rows and
+    columns below ``p`` vanishes."""
+    band = draw(st.integers(1, 4))
+    n = draw(st.integers(2 * band, 40))
+    theta, xi = draw(angle), draw(angle)
+    gamma = draw(st.floats(0.1, math.pi - 0.1))
+    p = draw(st.integers(1, n - band))
+    coeffs = {}
+    for m in range(band + 1):
+        c = draw(st.complex_numbers(min_magnitude=0.1 if m == 1 else 0, max_magnitude=2))
+        coeffs[-m] = c
+        coeffs[m] = c * cmath.exp(-1j * m * theta)
+    alphas = tuple(
+        cmath.exp(1j * (xi - k * theta) / 2 + 1j * gamma * (k >= p)) for k in range(n + 1)
+    )
+    return LaurentSymbol(coeffs), materialize(AlphaDiagonal(alphas), n), p
+
+
+@given(planted_asymmetry())
+def test_planted_asymmetry_fails_in_every_criterion(instance):
+    phi, conj, p = instance
+    report = run_all(phi, conj)
+    assert p <= report.window.max_row
+    assert set(report.criterion_verdicts().values()) == {FAIL}
+
+
+@given(planted_asymmetry(), st.data())
+def test_user_window_narrows_every_criterion(instance, data):
+    # the planted defect is inside window w exactly when p <= w
+    phi, conj, p = instance
+    default = run_all(phi, conj).window.max_row
+    w = data.draw(st.integers(phi.band, default))
+    report = run_all(phi, conj, CheckConfig(degree=conj.degree, window=w))
+    assert set(report.criterion_verdicts().values()) == {FAIL if p <= w else PASS}
+
+
+huge = st.builds(complex, st.floats(-1e308, 1e308), st.floats(-1e308, 1e308))
+diagonal_families = st.one_of(
+    st.just(CanonicalJ()),
+    st.builds(ThetaXi, angle, angle),
+    st.lists(angle, min_size=1, max_size=4).map(
+        lambda phases: AlphaDiagonal(tuple(cmath.exp(1j * t) for t in phases))
+    ),
+)
+
+
+@given(st.dictionaries(st.integers(-3, 3), huge, max_size=5),
+       st.sampled_from([-3, -2, -1, 1, 2, 3]), diagonal_families, st.integers(8, 16))
+def test_huge_coefficients_never_pass(coeffs, m, family, degree):
+    # phi_m dominates every other coefficient and phi_{-m} is 0, so no
+    # diagonal conjugation makes the symbol symmetric: every criterion
+    # fails, or the run refuses overflowed arithmetic
+    big = max([abs(v) for v in coeffs.values()] + [1.0])
+    phi = LaurentSymbol({**coeffs, m: complex(big), -m: 0j})
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            verdicts = run_all(phi, materialize(family, degree)).criterion_verdicts()
+    except ConjtoepError as exc:
+        assert not isinstance(exc, CriterionDisagreement)
+    else:
+        assert PASS not in verdicts.values()

@@ -390,7 +390,7 @@ def test_contractions_match_loop_oracles():
         phi = _random_symbol(rng, band=int(rng.integers(0, 5)))
         plan = _make_plan(phi, conj, CheckConfig(degree=conj.degree))
         padded += plan.work_degree > plan.degree
-        jk = plan.jk_max
+        jk = plan.window
         trunc = max(phi.band, 1)
 
         coeff = _coefficient_equations(plan)
