@@ -3,11 +3,12 @@
 Exit codes: 0 all criteria pass, 1 fail, 2 inconclusive, 3 internal
 criterion disagreement (a library defect), 64 malformed input or command-line
 usage error (unknown flag, missing or badly typed argument), 65 invariant
-violation, 70 unexpected error.  Code 3 is reserved exclusively for
-mathematical-equivalence violations so CI can tell library bugs from bad
-inputs.  Every command builds its input objects in one parse step, and only
-a shape error there counts as malformed input; the same exception raised
-later is unexpected.
+violation, 70 unexpected error, 74 the report could not be written (a
+closed stdout pipe or an unwritable ``--out`` path).  Code 3 is reserved
+exclusively for mathematical-equivalence violations so CI can tell library
+bugs from bad inputs.  Every command builds its input objects in one parse
+step, and only a shape error there counts as malformed input; the same
+exception raised later is unexpected.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .symmetry import (
     PASS,
     CheckConfig,
     CriterionDisagreement,
-    build_xy,
-    check_xy,
+    _make_plan,
+    _xy,
     run_all,
 )
 
@@ -52,11 +53,16 @@ EXIT_DISAGREEMENT = 3
 EXIT_BAD_INPUT = 64
 EXIT_INVARIANT = 65
 EXIT_UNEXPECTED = 70
+EXIT_IOERR = 74
 
 DEFAULT_DEGREE = 32
 
 
 class _InputError(Exception):
+    pass
+
+
+class _ReportError(Exception):
     pass
 
 
@@ -117,11 +123,20 @@ def _emit(payload: dict, args) -> None:
         text = _pretty(payload)
     else:
         text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.out:
+            # so that flushing stdout at exit meets devnull, not the closed pipe
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise _ReportError(f"cannot write the report: {exc}") from exc
 
 
 def _pretty(payload: dict, indent: int = 0) -> str:
@@ -142,17 +157,22 @@ def _exit_from_overall(overall: str) -> int:
     return {PASS: EXIT_PASS, FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}[overall]
 
 
-def _cmd_check(args) -> int:
+def _one_variable_inputs(args):
+    """The parse step of ``check`` and ``xy``: symbol, conjugation, config."""
     with _parsing():
         phi = LaurentSymbol.from_json_dict(_load_json_arg(args.symbol))
         family = parse_family_spec(_load_json_arg(args.conj))
         degree = args.degree if args.degree is not None else _default_degree()
         config = CheckConfig(degree=degree, window=args.window, tolerance=_tolerance(args))
-    conj = materialize(family, degree)
+    return phi, materialize(family, degree), config
+
+
+def _cmd_check(args) -> int:
+    phi, conj, config = _one_variable_inputs(args)
     report = run_all(phi, conj, config)
     payload = report.to_json_dict()
     payload["config"] = {
-        "degree": degree, "window": payload["window"][0], "tolerance": payload["tolerance"]
+        "degree": config.degree, "window": payload["window"][0], "tolerance": payload["tolerance"]
     }
     _emit(payload, args)
     return _exit_from_overall(report.overall())
@@ -180,31 +200,19 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_xy(args) -> int:
-    with _parsing():
-        phi = LaurentSymbol.from_json_dict(_load_json_arg(args.symbol))
-        family = parse_family_spec(_load_json_arg(args.conj))
-        degree = args.degree if args.degree is not None else _default_degree()
-        config = CheckConfig(degree=degree, window=args.window, tolerance=_tolerance(args))
-    conj = materialize(family, degree)
-    outcome = check_xy(phi, conj, config=config)
-    window = outcome.details["window"]
-    trunc = outcome.details["trunc"]
-    systems = []
-    for k in range(window + 1):
-        system = build_xy(conj, k, trunc, phi=phi, rows=window)
-        systems.append(
-            {
-                "k": k,
-                "X": _matrix_to_json(system.x),
-                "Y": _matrix_to_json(system.y),
-                "residual": outcome.details["per_k"][k],
-            }
-        )
+    phi, conj, config = _one_variable_inputs(args)
+    plan = _make_plan(phi, conj, config)
+    outcome = _xy(plan)
+    x, y = plan.xy
+    systems = [
+        {"k": k, "X": _matrix_to_json(x[k]), "Y": _matrix_to_json(y[k]), "residual": residual}
+        for k, residual in enumerate(outcome.details["per_k"])
+    ]
     payload = {
         "verdict": outcome.verdict,
         "residual": outcome.residual,
         "systems": systems,
-        "config": {"degree": degree, "window": window, "trunc": trunc},
+        "config": {"degree": config.degree, "window": plan.window, "trunc": outcome.details["trunc"]},
     }
     _emit(payload, args)
     return _exit_from_overall(outcome.verdict)
@@ -336,10 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # decide and require_matrix refuse every non-finite value, so numpy's
+        # own warnings about producing one would only repeat the error line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except _ReportError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IOERR
     except CriterionDisagreement as exc:
         print(f"internal criterion disagreement: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT

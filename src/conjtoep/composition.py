@@ -136,6 +136,11 @@ def column_tails(matrix: np.ndarray, level: int, cols: int) -> np.ndarray:
     return np.sqrt(np.maximum(1.0 - mass, TAIL_RESOLUTION**2))
 
 
+# Largest padded degree the tail search tries; past it a dense check keeps
+# the tail it measured and may come back inconclusive.
+PAD_LIMIT = 4096
+
+
 @lru_cache(maxsize=64)
 def _cached_composition_matrix(alpha: complex, degree: int) -> np.ndarray:
     """Shared read-only materializations for repeated padded-degree lookups."""
@@ -144,8 +149,8 @@ def _cached_composition_matrix(alpha: complex, degree: int) -> np.ndarray:
     return matrix
 
 
-def _working_degree(params: CompositionParams, cols: int, margin: int, cap: float, start: int, limit: int):
-    """Smallest padded degree whose measured tails meet ``cap`` (or the cap degree).
+def _working_degree(params: CompositionParams, cols: int, margin: int, cap: float, start: int):
+    """Smallest padded degree whose measured tails meet ``cap`` (or :data:`PAD_LIMIT`).
 
     The cap is floored at the tail resolution limit; asking for less would
     spin to the degree cap without gaining certainty.
@@ -155,9 +160,9 @@ def _working_degree(params: CompositionParams, cols: int, margin: int, cap: floa
     while True:
         matrix = _cached_composition_matrix(params.alpha, degree)
         tail = float(np.max(column_tails(matrix, degree - margin, cols)))
-        if tail <= target or degree >= limit:
+        if tail <= target or degree >= PAD_LIMIT:
             return matrix, degree, tail
-        degree = min(limit, int(degree * 1.6) + 8)
+        degree = min(PAD_LIMIT, int(degree * 1.6) + 8)
 
 
 def check_w_symmetry_conditions(
@@ -181,7 +186,7 @@ def check_w_symmetry_conditions(
     threshold = tol.threshold(scale)
     cap = threshold / (16.0 * scale * max(1, n_max + 1))
     matrix, degree, tail = _working_degree(
-        params, cols=n_max + phi.band + 2, margin=phi.band + 1, cap=cap, start=48, limit=4096
+        params, cols=n_max + phi.band + 2, margin=phi.band + 1, cap=cap, start=48
     )
     t = toeplitz_matrix(phi, degree).matrix
     defect = transpose_defect(matrix, t, slice(n_max + 1))

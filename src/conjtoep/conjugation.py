@@ -412,23 +412,20 @@ def intertwine_lambda(
 
 
 def working_coefficients(
-    c: Conjugation, cols: int, margin: int, cap: float, limit: int = 4096
+    c: Conjugation, cols: int, margin: int, cap: float
 ) -> tuple[np.ndarray, int, float]:
     """Coefficient matrix padded until its measured tails meet ``cap``.
 
     Banded conjugations (``band`` not None) are already exact and come back
     unchanged with zero tail.  Dense families are re-materialized at
     growing degrees until the Parseval tail over the needed columns drops
-    below ``cap`` (or the hard degree ``limit`` is reached, in which case
+    below ``cap`` (or the degree ``PAD_LIMIT`` is reached, in which case
     the honest tail is returned for the caller's verdict logic).
     """
     if c.band is not None:
         return c.coeff, c.degree, 0.0
     if isinstance(c.family, Composition):
         params = CompositionParams(c.family.alpha)
-        matrix, degree, tail = _working_degree(
-            params, cols=cols, margin=margin, cap=cap, start=c.degree, limit=limit
-        )
-        return matrix, degree, tail
+        return _working_degree(params, cols=cols, margin=margin, cap=cap, start=c.degree)
     tails = c.tails(c.degree - margin, cols)
     return c.coeff, c.degree, float(np.max(tails))

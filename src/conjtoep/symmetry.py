@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -99,16 +100,14 @@ class CriterionDisagreement(ConjtoepError):
 class CheckConfig:
     """Degree, index window, and tolerances for a criterion run.
 
-    ``window`` bounds the one index range ``0..window`` every criterion
-    checks; it defaults to the largest exactness-respecting range (8 for
-    dense conjugations).  ``pad_limit`` caps the internal degree used to
-    tame dense conjugation tails.
+    ``window`` bounds the one index range ``0..window`` every check reads;
+    it defaults to the largest exactness-respecting range (8 for dense
+    conjugations).
     """
 
     degree: int = 32
     window: int | None = None
     tolerance: Tolerance = DEFAULT_TOLERANCE
-    pad_limit: int = 4096
 
 
 @dataclass(frozen=True)
@@ -166,24 +165,8 @@ class SymmetryReport:
             "degree": self.degree,
             "work_degree": self.work_degree,
             "notes": list(self.notes),
-            "details": _jsonable(self.details),
+            "details": {k: dict(v) for k, v in self.details.items()},
         }
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    return value
 
 
 @dataclass(frozen=True)
@@ -191,35 +174,41 @@ class _Plan:
     """Shared working data for one (symbol, conjugation) instance."""
 
     phi: LaurentSymbol
-    conj: Conjugation
-    tolerance: Tolerance
-    scale: float
     threshold: float
-    degree: int
     window: int
     a_work: np.ndarray
     t_work: np.ndarray
     work_degree: int
-    tail: float
     tail_bound: float
+
+    @cached_property
+    def defect(self) -> np.ndarray:
+        """``U^H T U - T^T`` on ``0..window``, read by two criteria."""
+        return transpose_defect(self.a_work, self.t_work, slice(self.window + 1))
+
+    @cached_property
+    def xy(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``X(k)``/``Y(k)`` matrices for ``k = 0..window``, stacked."""
+        w = self.window
+        return _xy_matrices(self.a_work, range(w + 1), max(self.phi.band, 1), w)
 
 
 def _make_plan(phi: LaurentSymbol, conj: Conjugation, config: CheckConfig | None) -> _Plan:
     config = config or CheckConfig()
-    tol = config.tolerance
     n = conj.degree
     band = phi.band
     scale = max(1.0, phi.l1_norm())
-    threshold = tol.threshold(scale)
+    threshold = config.tolerance.threshold(scale)
 
-    # Every criterion reads indices up to window + max(reach, 1): banded C T* C
-    # is exact up to n - (2 band_c + band), and X/Y reads one column beyond.
+    # Every check reads indices up to window + reach: banded C T* C is exact
+    # up to n - (2 band_c + band), S = C M_z C on columns up to
+    # n - 1 - 2 band_c, and X/Y reads one column beyond the window.
     band_c = conj.band
-    reach = band if band_c is None else 2 * band_c + band
+    reach = max(band, 1) + (0 if band_c is None else 2 * band_c)
     if config.window is not None:
         window = config.window
     elif band_c is not None:
-        window = n - max(reach, 1)
+        window = n - reach
     else:
         window = min(8, n - band - 2)
     if window < band or window < 0:
@@ -229,26 +218,19 @@ def _make_plan(phi: LaurentSymbol, conj: Conjugation, config: CheckConfig | None
     else:
         cap = threshold / (2.0 * _TAIL_FACTOR * (window + 1) * scale)
         a_work, work_degree, tail = working_coefficients(
-            conj, cols=window + band + 2, margin=band + 1, cap=cap, limit=config.pad_limit
+            conj, cols=window + band + 2, margin=band + 1, cap=cap
         )
-    if window + max(reach, 1) > work_degree:
+    if window + reach > work_degree:
         raise ExactnessError("exactness window violated")
 
-    t_work = toeplitz_matrix(phi, work_degree).matrix
-    tail_bound = _TAIL_FACTOR * scale * tail * (window + 1)
     return _Plan(
         phi=phi,
-        conj=conj,
-        tolerance=tol,
-        scale=scale,
         threshold=threshold,
-        degree=n,
         window=window,
         a_work=a_work,
-        t_work=t_work,
+        t_work=toeplitz_matrix(phi, work_degree).matrix,
         work_degree=work_degree,
-        tail=tail,
-        tail_bound=tail_bound,
+        tail_bound=_TAIL_FACTOR * scale * tail * (window + 1),
     )
 
 
@@ -278,7 +260,7 @@ def _definition(plan: _Plan) -> CriterionResult:
     idx = np.arange(plan.window + 1)
     residual = definition_residual(plan.a_work, plan.t_work, idx, idx)
     verdict = decide(residual, plan.threshold, plan.tail_bound)
-    return CriterionResult(verdict, residual, plan.tail_bound, {"window": plan.window})
+    return CriterionResult(verdict, residual, plan.tail_bound)
 
 
 def check_definition(
@@ -289,10 +271,9 @@ def check_definition(
 
 
 def _transpose_basis(plan: _Plan) -> CriterionResult:
-    w = plan.window
-    residual = float(np.linalg.norm(transpose_defect(plan.a_work, plan.t_work, slice(w + 1))))
+    residual = float(np.linalg.norm(plan.defect))
     verdict = decide(residual, plan.threshold, plan.tail_bound)
-    return CriterionResult(verdict, residual, plan.tail_bound, {"window": w})
+    return CriterionResult(verdict, residual, plan.tail_bound)
 
 
 def check_transpose_basis(
@@ -304,11 +285,10 @@ def check_transpose_basis(
 
 
 def _conjugated_toeplitz(plan: _Plan) -> CriterionResult:
-    w = plan.window
-    fe = plan.a_work[:, : w + 1]
-    product = fe.conj().T @ plan.t_work @ fe
-    _, toep_residual = is_toeplitz(product, Window.square(w), plan.tolerance)
-    matrix_residual = float(np.linalg.norm(product - plan.t_work[: w + 1, : w + 1].T))
+    # U^H T U = defect + T^T and T^T is exactly Toeplitz, so the product is
+    # Toeplitz exactly when the defect is.
+    _, toep_residual = is_toeplitz(plan.defect, Window.square(plan.window))
+    matrix_residual = float(np.linalg.norm(plan.defect))
     residual = max(matrix_residual, toep_residual)
     verdict = decide(residual, plan.threshold, plan.tail_bound)
     toeplitz_flag = decide(toep_residual, plan.threshold, plan.tail_bound) == PASS
@@ -317,7 +297,6 @@ def _conjugated_toeplitz(plan: _Plan) -> CriterionResult:
         residual,
         plan.tail_bound,
         {
-            "window": w,
             "is_toeplitz": toeplitz_flag,
             "toeplitz_residual": toep_residual,
             "matrix_residual": matrix_residual,
@@ -347,7 +326,7 @@ def _coefficient_equations(plan: _Plan) -> CriterionResult:
     w = plan.window
     residual = coefficient_defect(plan.a_work, plan.t_work, w, w + plan.phi.band + 1)
     verdict = decide(residual, plan.threshold, 0.0)
-    return CriterionResult(verdict, residual, 0.0, {"window": w})
+    return CriterionResult(verdict, residual, 0.0)
 
 
 def check_coefficient_equations(
@@ -415,16 +394,13 @@ def build_xy(
 
 
 def _xy(plan: _Plan) -> CriterionResult:
-    trunc = max(plan.phi.band, 1)
-    w = plan.window
-    x, y = _xy_matrices(plan.a_work, range(w + 1), trunc, w)
+    x, y = plan.xy
+    trunc = x.shape[2]
     plus, minus = _phi_vectors(plan.phi, trunc)
     per_k = np.max(np.abs(x @ plus - y @ minus), axis=1)
     residual = float(np.max(per_k))
     verdict = decide(residual, plan.threshold, 0.0)
-    return CriterionResult(
-        verdict, residual, 0.0, {"per_k": per_k.tolist(), "trunc": trunc, "window": w}
-    )
+    return CriterionResult(verdict, residual, 0.0, {"per_k": per_k.tolist(), "trunc": trunc})
 
 
 def check_xy(
@@ -440,15 +416,11 @@ def check_xy(
 
 
 def _s_toeplitz(plan: _Plan) -> CriterionResult:
-    band_c = plan.conj.band
-    if band_c is not None:
-        w = max(0, min(plan.window, plan.degree - 1 - (2 * band_c + plan.phi.band)))
-    else:
-        w = plan.window
+    w = plan.window
     sw = shift_columns(plan.a_work, w + 1)
     residual = compression_residual(plan.t_work, sw, Window.square(w))
     verdict = decide(residual, plan.threshold, plan.tail_bound)
-    return CriterionResult(verdict, residual, plan.tail_bound, {"window": w})
+    return CriterionResult(verdict, residual, plan.tail_bound)
 
 
 def check_s_toeplitz_necessary(
@@ -458,7 +430,11 @@ def check_s_toeplitz_necessary(
 
     A pass here never certifies symmetry (coordinate multiplication by z is
     the standard counterexample with the canonical conjugation); a decisive
-    fail refutes it.
+    fail refutes it.  Only ``alpha_diag`` and ``basis`` conjugations can
+    fail it: for ``canonical_j`` and ``theta_xi``, ``S = e^{-i theta} M_z``,
+    and for ``composition``, ``S = T_b`` with ``b`` inner, where
+    ``T_b* T_phi T_b = T_phi`` (Brown and Halmos, 1964), so every symbol
+    passes.
     """
     return _s_toeplitz(_make_plan(phi, conj, config))
 
@@ -497,30 +473,28 @@ def run_all(
         dump = {
             "symbol": json.loads(phi.to_json()),
             "conjugation": family_spec_to_dict(conj.family) if known else conj.label or "custom",
-            "degree": plan.degree,
+            "degree": conj.degree,
             "work_degree": plan.work_degree,
             "window": plan.window,
             "verdicts": core_verdicts,
             "residuals": {k: results[k].residual for k in CRITERIA},
             "tail_bound": plan.tail_bound,
         }
-        # ``conjtoep check`` cannot set ``pad_limit``, so only runs at its
-        # default can be replayed from the command line.
-        if known and config.pad_limit == CheckConfig.pad_limit:
+        if known:
             window = [] if config.window is None else ["--window", str(config.window)]
             dump["replay"] = [
                 "check", "--symbol", phi.to_json(), "--conj", json.dumps(dump["conjugation"]),
-                "--degree", str(plan.degree), *window,
-                "--tol-abs", repr(plan.tolerance.absolute), "--tol-rel", repr(plan.tolerance.relative),
+                "--degree", str(conj.degree), *window,
+                "--tol-abs", repr(config.tolerance.absolute), "--tol-rel", repr(config.tolerance.relative),
             ]
         raise CriterionDisagreement(
             "equivalent criteria disagree; this is a library defect: "
-            + json.dumps(_jsonable(dump)),
+            + json.dumps(dump),
             dump,
         )
 
     notes = tuple(conj.notes)
-    if plan.work_degree != plan.degree:
+    if plan.work_degree != conj.degree:
         notes = notes + (f"dense tails tamed at internal degree {plan.work_degree}",)
     details = {
         name: {"tail_bound": res.tail_bound, **res.details} for name, res in results.items()
@@ -529,9 +503,9 @@ def run_all(
         verdicts={k: r.verdict for k, r in results.items()},
         residuals={k: r.residual for k, r in results.items()},
         window=Window.square(plan.window),
-        tolerance=plan.tolerance,
+        tolerance=config.tolerance,
         tail_bound=max(r.tail_bound for r in results.values()),
-        degree=plan.degree,
+        degree=conj.degree,
         work_degree=plan.work_degree,
         notes=notes,
         details=details,

@@ -1,5 +1,9 @@
+import argparse
 import json
 import math
+import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,14 +15,16 @@ from conjtoep.cli import (
     EXIT_DISAGREEMENT,
     EXIT_FAIL,
     EXIT_INVARIANT,
+    EXIT_IOERR,
     EXIT_PASS,
     EXIT_UNEXPECTED,
+    build_parser,
     main,
 )
-from conjtoep.conjugation import Composition, Conjugation, ThetaXi
+from conjtoep.conjugation import AlphaDiagonal, Composition, Conjugation, ThetaXi, family_spec_to_dict, materialize
 from conjtoep.core import Tolerance
 from conjtoep.hardy import LaurentSymbol
-from conjtoep.symmetry import CheckConfig, CriterionDisagreement, CriterionResult, run_all
+from conjtoep.symmetry import CheckConfig, CriterionDisagreement, CriterionResult, build_xy, run_all
 
 Z_MINUS_ZBAR = '{"coeffs": {"1": [1, 0], "-1": [-1, 0]}}'
 Z_PLUS_ZBAR = '{"coeffs": {"1": [1, 0], "-1": [1, 0]}}'
@@ -107,6 +113,96 @@ def test_xy_twisted_pass_and_untwisted_fail(capsys):
     code, payload = run(capsys, "xy", "--symbol", Z_PLUS_ZBAR, "--conj", THETA_PI)
     assert code == EXIT_FAIL
     assert payload["systems"][0]["residual"] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_xy_prints_the_systems_behind_its_verdict(capsys):
+    # a dense conjugation checks X/Y on its padded matrix, so the printed
+    # systems must be those, not ones rebuilt at the requested degree
+    code, payload = run(
+        capsys, "xy", "--symbol", Z_PLUS_ZBAR, "--conj", '{"family": "composition", "alpha": [0.5, 0]}',
+        "--degree", "8", "--window", "8",
+    )
+    assert code == EXIT_FAIL
+    plus, minus = np.array([1.0]), np.array([1.0])
+    for system in payload["systems"]:
+        x, y = (np.array(system[name]) @ [1, 1j] for name in ("X", "Y"))
+        assert x.shape == y.shape == (9, 1)
+        assert abs(np.max(np.abs(x @ plus - y @ minus)) - system["residual"]) <= 1e-12
+    assert payload["residual"] == max(system["residual"] for system in payload["systems"])
+
+
+def test_xy_systems_equal_build_xy_for_banded_conjugations(capsys):
+    phi = LaurentSymbol({-2: 1, 1: 1j, 2: 0.5})
+    conj = materialize(AlphaDiagonal((1, 1j, -1j), period=2), 12)
+    code, payload = run(
+        capsys, "xy", "--symbol", phi.to_json(), "--conj", json.dumps(family_spec_to_dict(conj.family)),
+        "--degree", "12",
+    )
+    assert code == EXIT_FAIL
+    window = payload["config"]["window"]
+    assert [system["k"] for system in payload["systems"]] == list(range(window + 1))
+    for system in payload["systems"]:
+        want = build_xy(conj, system["k"], 2, phi=phi, rows=window)
+        np.testing.assert_array_equal(np.array(system["X"]) @ [1, 1j], want.x)
+        np.testing.assert_array_equal(np.array(system["Y"]) @ [1, 1j], want.y)
+
+
+# a band-1 conjugation: C z^0 = i z^1
+BAND_ONE_BASIS = json.dumps(
+    {"family": "basis", "columns": [[[0.5**0.5, 0], [0, 0.5**0.5]], [[0, 0.5**0.5], [0.5**0.5, 0]]]}
+)
+
+
+@pytest.mark.parametrize("command", ["check", "xy"])
+def test_window_beyond_the_shift_filter_is_refused(capsys, command):
+    # a constant symbol reaches 2 * 1 + max(0, 1) = 3 indices past the
+    # window, so degree 8 allows window 5 at most
+    argv = [command, "--symbol", '{"coeffs": {"0": [1, 0]}}', "--conj", BAND_ONE_BASIS, "--degree", "8"]
+    assert main([*argv, "--window", "6"]) == EXIT_INVARIANT
+    assert capsys.readouterr().err == "error: exactness window violated\n"
+    code, payload = run(capsys, *argv)
+    assert code == EXIT_PASS
+    assert payload["config"]["window"] == 5
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away; its descriptor is a real file."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_74(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "stdout"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr("sys.stdout", _ClosedPipe(fd))
+        code = main(["xy", "--symbol", Z_PLUS_ZBAR, "--conj", THETA_PI, "--degree", "32"])
+        # the descriptor now leads to devnull, so the flush at exit cannot fail
+        os.write(fd, b"discarded")
+    finally:
+        os.close(fd)
+    assert code == EXIT_IOERR
+    assert capsys.readouterr().err == "error: cannot write the report: [Errno 32] Broken pipe\n"
+    assert path.read_bytes() == b""
+
+
+def test_unwritable_out_path_exits_74(capsys, tmp_path):
+    out = tmp_path / "missing" / "r.json"
+    code = main(["check", "--symbol", Z_MINUS_ZBAR, "--conj", THETA_PI, "--out", str(out)])
+    assert code == EXIT_IOERR
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the report:") and err.count("\n") == 1
+    assert not out.parent.exists()
 
 
 def test_check_poly(capsys):
@@ -282,6 +378,21 @@ def test_flags_read_by_each_command_are_accepted(capsys):
         capsys.readouterr()
 
 
+def test_readme_flag_table_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = {
+        match[1]: set(re.findall(r"--[a-z-]+", match[2]))
+        for match in re.finditer(r"^\| `([a-z-]+)` \| (.*) \|$", readme, flags=re.MULTILINE)
+    }
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: {flag for action in sub._actions for flag in action.option_strings if flag.startswith("--")}
+        - {"--out", "--format", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert table == parsed
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as info:
         main(["check", "--help"])
@@ -316,7 +427,7 @@ def test_alpha_diag_asymmetry_fails_in_every_criterion(capsys):
     assert payload["config"]["window"] == payload["window"][0] == 3
 
 
-def test_overflowing_symbol_exits_65(capsys):
+def test_overflowing_symbol_exits_65(capsys, recwarn):
     # the l1 norm of two finite 1e308 coefficients overflows; no verdict
     # may come from non-finite arithmetic
     code = main(
@@ -331,7 +442,9 @@ def test_overflowing_symbol_exits_65(capsys):
         ]
     )
     assert code == EXIT_INVARIANT
-    assert "non-finite" in capsys.readouterr().err
+    # numpy's overflow warnings are off: the one error line is all of stderr
+    assert capsys.readouterr().err == "error: non-finite residual, threshold or tail bound\n"
+    assert not recwarn.list
 
 
 # symmetric for every conjugation, so a failing X/Y criterion disagrees
@@ -361,16 +474,11 @@ def test_disagreement_dump_replays_through_the_cli(capsys, monkeypatch, family, 
 
 
 def test_disagreement_dump_without_replay(monkeypatch):
-    # a conjugation without a family, or a pad limit the CLI cannot set,
-    # cannot be replayed from the command line
+    # a conjugation without a family cannot be replayed from the command line
     _forced_disagreement(monkeypatch)
     with pytest.raises(CriterionDisagreement) as info:
         run_all(CONSTANT, Conjugation(np.eye(13), 12, 0))
     assert info.value.dump["conjugation"] == "custom" and "replay" not in info.value.dump
-    with pytest.raises(CriterionDisagreement) as info:
-        run_all(CONSTANT, ThetaXi(math.pi, 0.0), CheckConfig(degree=12, pad_limit=100))
-    assert info.value.dump["conjugation"]["family"] == "theta_xi"
-    assert "replay" not in info.value.dump
 
 
 def test_invariant_violation_exits_65(capsys):

@@ -1,7 +1,8 @@
 """Property tests of the symbol parsers (exact JSON round trips of finite
 coefficients, refusal of non-finite ones on construction), of the CLI's
 exit codes over malformed JSON specs, and of the criterion suite (one index
-window for all five criteria, no verdict from overflowed arithmetic)."""
+window for all six checks, exact on banded conjugations, and no verdict from
+overflowed arithmetic)."""
 
 import cmath
 import contextlib
@@ -15,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conjtoep.cli import main
-from conjtoep.conjugation import AlphaDiagonal, CanonicalJ, ThetaXi, materialize
+from conjtoep.conjugation import AlphaDiagonal, BasisSpec, CanonicalJ, FromBasis, ThetaXi, materialize
 from conjtoep.core import FAIL, PASS, ConjtoepError
 from conjtoep.finite import FiniteToeplitz
 from conjtoep.hardy import LaurentSymbol
@@ -216,6 +217,44 @@ def test_user_window_narrows_every_criterion(instance, data):
     w = data.draw(st.integers(phi.band, default))
     report = run_all(phi, conj, CheckConfig(degree=conj.degree, window=w))
     assert set(report.criterion_verdicts().values()) == {FAIL if p <= w else PASS}
+
+
+@st.composite
+def banded_instances(draw):
+    """A symbol of band 0-4 and a ``theta_xi``, ``alpha_diag`` or 2-5-column
+    ``basis`` conjugation at the smallest degrees whose window holds the band."""
+    band = draw(st.integers(0, 4))
+    coeffs = {m: draw(st.complex_numbers(max_magnitude=2)) for m in range(-band, band + 1)}
+    kind = draw(st.sampled_from(["theta_xi", "alpha_diag", "basis"]))
+    if kind == "theta_xi":
+        family = ThetaXi(draw(angle), draw(angle))
+    elif kind == "alpha_diag":
+        phases = draw(st.lists(angle, min_size=1, max_size=6))
+        family = AlphaDiagonal(tuple(cmath.exp(1j * t) for t in phases), draw(st.integers(1, len(phases))))
+    else:
+        size = draw(st.integers(2, 5))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        block, _ = np.linalg.qr(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+        family = FromBasis(BasisSpec(block, size - 1))
+    least = max(2 * materialize(family, 8).band + band + max(band, 1), 4)
+    n = draw(st.integers(least, least + 12))
+    return LaurentSymbol(coeffs), family, n
+
+
+@given(banded_instances())
+def test_default_window_is_exact_for_every_check(instance):
+    # every check on the default window reads only exact entries: 15 more
+    # degrees change no residual beyond round-off
+    phi, family, n = instance
+    small = run_all(phi, materialize(family, n))
+    window = small.window.max_row
+    assert window == n - 2 * materialize(family, n).band - max(phi.band, 1)
+    large = run_all(phi, materialize(family, n + 15), CheckConfig(degree=n + 15, window=window))
+    scale = max(1.0, phi.l1_norm())
+    for name, residual in small.residuals.items():
+        assert abs(large.residuals[name] - residual) <= 1e-12 * scale, name
+    assert small.verdicts == large.verdicts
+    assert small.residuals["transpose_basis"] == small.details["conjugated_toeplitz"]["matrix_residual"]
 
 
 huge = st.builds(complex, st.floats(-1e308, 1e308), st.floats(-1e308, 1e308))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import conjtoep.composition as composition
 from conjtoep.conjugation import (
     AlphaDiagonal,
     BasisSpec,
@@ -279,9 +280,9 @@ def test_run_all_accepts_family_spec_and_reports_config():
     assert set(again) >= {"verdicts", "residuals", "window", "tail_bound"}
 
 
-def test_run_all_inconclusive_when_padding_is_capped():
-    config = CheckConfig(degree=32, pad_limit=48)
-    report = run_all(LaurentSymbol({0: 5}), materialize(Composition(0.6), 32), config)
+def test_run_all_inconclusive_when_padding_is_capped(monkeypatch):
+    monkeypatch.setattr(composition, "PAD_LIMIT", 48)
+    report = run_all(LaurentSymbol({0: 5}), materialize(Composition(0.6), 32), CheckConfig(degree=32))
     verdicts = report.criterion_verdicts()
     # exact criteria stay decisive; the windowed products cannot certify
     assert verdicts["coefficient_equations"] == PASS
@@ -326,6 +327,8 @@ def test_criteria_agree_on_random_instances():
         phi = _random_symbol(rng)
         report = run_all(phi, conj, CheckConfig(degree=28))
         assert len(set(report.criterion_verdicts().values())) == 1
+        # both criteria read the plan's one U^H T U - T^T
+        assert report.residuals["transpose_basis"] == report.details["conjugated_toeplitz"]["matrix_residual"]
 
 
 def test_pass_implies_compression_pass():
@@ -389,7 +392,7 @@ def test_contractions_match_loop_oracles():
             conj = _random_family(rng, 28)
         phi = _random_symbol(rng, band=int(rng.integers(0, 5)))
         plan = _make_plan(phi, conj, CheckConfig(degree=conj.degree))
-        padded += plan.work_degree > plan.degree
+        padded += plan.work_degree > conj.degree
         jk = plan.window
         trunc = max(phi.band, 1)
 
