@@ -232,9 +232,9 @@ def scan_trigpoly_theorem(
     Runs the complete check battery on every grid point, augmented with
     samples on the locus ``phi_1 = -(conj(alpha)/alpha) phi_{-1}`` (the locus
     satisfies the center-coefficient pairing equation yet must still fail).
-    The theorem is reproduced when the passing set is exactly the constants
-    ``phi_1 = phi_{-1} = 0``; a grid with an empty axis is refused, since it
-    would reproduce it vacuously.
+    The theorem is reproduced when the passing set is exactly the grid's
+    constants ``phi_1 = phi_{-1} = 0`` (none when no axis value is 0); a grid
+    with an empty axis is refused, since it would reproduce it vacuously.
     """
     from .conjugation import Composition, materialize
     from .symmetry import PASS, CheckConfig, run_all
@@ -265,9 +265,7 @@ def scan_trigpoly_theorem(
         if all(v == PASS for v in report.criterion_verdicts().values()):
             passing.append((cm, cz, cp))
 
-    reproduced = all(abs(cm) == 0 and abs(cp) == 0 for cm, _, cp in passing) and all(
-        (0j, cz, 0j) in passing for cz in grid.zero
-    )
+    reproduced = set(passing) == {p for p in points if p[0] == 0 and p[2] == 0}
     return ScanReport(
         alpha=params.alpha,
         total_points=len(points),

@@ -345,15 +345,16 @@ def canonical_factorization(c: Conjugation, tol: Tolerance = DEFAULT_TOLERANCE) 
     return c.coeff
 
 
-def shift_columns(a: np.ndarray, count: int) -> np.ndarray:
-    """Leading ``count`` columns of ``C M_z C`` for the coefficient matrix ``a``.
+def shift_columns(a: np.ndarray, count: int, src=slice(0, -1), dst=slice(1, None)) -> np.ndarray:
+    """Leading ``count`` columns of ``C M C`` for the coefficient matrix ``a``.
 
-    Column ``n`` is ``C z C e_n = a conj(z a e_n)``: apply C, shift up by one
-    coefficient, apply C again.
+    Column ``n`` is ``a conj(M a e_n)``: apply C, move coefficient rows
+    ``src`` to rows ``dst`` (the default ``M = M_z`` moves row ``r`` to
+    ``r + 1``) and drop the rest, apply C again.
     """
     shifted = np.zeros((a.shape[0], count), dtype=np.complex128)
-    shifted[1:] = a[:-1, :count]
-    return a @ np.conj(shifted)
+    shifted[dst] = a[src, :count]
+    return a @ np.conj(shifted, out=shifted)
 
 
 def shift_from_conjugation(c: Conjugation, degree: int | None = None) -> ShiftOperator:
@@ -366,7 +367,7 @@ def shift_from_conjugation(c: Conjugation, degree: int | None = None) -> ShiftOp
     if n_deg > c.degree:
         raise ConjtoepError("requested degree exceeds the materialized conjugation")
     s = shift_columns(c.coeff[: n_deg + 1, : n_deg + 1], n_deg + 1)
-    band = None if c.band is None else min(2 * c.band + 1, n_deg)
+    band = None if c.band is None else 2 * c.band + 1
     shift = ShiftOperator(s, n_deg, band=band)
     if band is not None:
         exact = shift.exact_columns()

@@ -90,6 +90,14 @@ def toeplitz_conjugation(size_minus_one: int) -> Conjugation:
     return Conjugation(coeff, size_minus_one, size_minus_one, None, "toeplitz_conjugation")
 
 
+def _require_finite(conj: Conjugation, size_minus_one: int) -> None:
+    """Refuse all but a conjugation of C^(N+1): banded, at degree N."""
+    if conj.band is None:
+        raise ConjtoepError("a truncated dense conjugation is not a conjugation of C^(N+1)")
+    if conj.degree != size_minus_one:
+        raise ConjtoepError("conjugation and matrix sizes differ")
+
+
 def finite_symmetry_criterion(t: FiniteToeplitz, conj: Conjugation) -> tuple[bool, float]:
     """Coefficient identity deciding symmetry of a finite Toeplitz matrix.
 
@@ -98,8 +106,7 @@ def finite_symmetry_criterion(t: FiniteToeplitz, conj: Conjugation) -> tuple[boo
     (:func:`conjtoep.symmetry.coefficient_defect`) over the whole matrix.
     """
     n = t.size_minus_one + 1
-    if conj.degree != t.size_minus_one:
-        raise ConjtoepError("conjugation and matrix sizes differ")
+    _require_finite(conj, t.size_minus_one)
     residual = coefficient_defect(conj.coeff, t.matrix(), n - 1, n)
     scale = max(1.0, t.l1_norm())
     return residual <= _ROUNDOFF_REL * scale * n, residual
@@ -115,8 +122,7 @@ def general_symmetry(t, conj: Conjugation) -> tuple[bool, float]:
     """
     t = require_matrix(t, square=True)
     n = t.shape[0]
-    if conj.degree != n - 1:
-        raise ConjtoepError("conjugation and matrix sizes differ")
+    _require_finite(conj, n - 1)
     u = canonical_factorization(conj)
     residual = float(np.linalg.norm(transpose_defect(u, t, slice(n))))
     scale = max(1.0, float(np.linalg.norm(t)))

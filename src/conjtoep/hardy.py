@@ -29,7 +29,6 @@ __all__ = [
     "toeplitz_gather",
     "toeplitz_matrix",
     "is_toeplitz",
-    "compression_residual",
     "s_toeplitz_residual",
 ]
 
@@ -106,8 +105,9 @@ class ShiftOperator(TruncatedOperator):
     """Truncated unilateral shift ``S f_n = f_{n+1}`` for some basis {f_n}.
 
     ``band`` is the bandwidth of the untruncated matrix when known (None for
-    dense shifts); columns ``0..degree-1-band`` are then exactly the columns
-    of the untruncated isometry.
+    dense shifts, ``2 b + 1`` for ``C M_z C`` with ``C`` of band ``b``);
+    columns ``0..degree - band`` are then exactly the columns of the
+    untruncated isometry.
     """
 
     band: int | None = None
@@ -116,7 +116,7 @@ class ShiftOperator(TruncatedOperator):
         """Number of leading columns that equal the untruncated shift's."""
         if self.band is None:
             return None
-        return max(0, self.degree - self.band)
+        return max(0, self.degree - self.band + 1)
 
     def isometry_defect(self, max_col: int) -> float:
         """Frobenius norm of (S^H S - I) on the leading ``max_col+1`` columns."""
@@ -178,30 +178,18 @@ def is_toeplitz(t, w: Window, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[bool,
     return residual <= tol.threshold(max(1.0, scale)), residual
 
 
-def compression_residual(t: np.ndarray, s: np.ndarray, w: Window) -> float:
-    """Frobenius norm of ``S^H T S - T`` on a window.
-
-    Reads only the leading ``max(w.max_row, w.max_col) + 1`` columns of
-    ``s``, so callers may pass just those columns of the shift.
-    """
-    left = s[:, : w.max_row + 1]
-    right = s[:, : w.max_col + 1]
-    product = left.conj().T @ (t @ right)
-    return float(np.linalg.norm(product - t[: w.max_row + 1, : w.max_col + 1]))
-
-
 def s_toeplitz_residual(t: TruncatedOperator, s: ShiftOperator, w: Window) -> float:
     """Frobenius norm of ``S^H T S - T`` restricted to a window.
 
-    For a banded shift the window must satisfy
-    ``w.max <= degree - 1 - band`` so that every sum defining the windowed
+    For a banded shift the window must lie inside the exact columns,
+    ``w.max <= degree - band``, so that every sum defining the windowed
     entries of the product is complete at this truncation.
     """
     if t.degree != s.degree:
         raise ConjtoepError("operator and shift degrees differ")
     w.require_fits(t.matrix.shape)
-    if s.band is not None:
-        limit = t.degree - 1 - s.band
-        if w.max_row > limit or w.max_col > limit:
-            raise ExactnessError("exactness window violated")
-    return compression_residual(t.matrix, s.matrix, w)
+    if s.band is not None and max(w.max_row, w.max_col) > t.degree - s.band:
+        raise ExactnessError("exactness window violated")
+    left = s.matrix[:, : w.max_row + 1]
+    product = left.conj().T @ (t.matrix @ s.matrix[:, : w.max_col + 1])
+    return float(np.linalg.norm(product - t.matrix[: w.max_row + 1, : w.max_col + 1]))

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .conjugation import Conjugation, diagonal_phase
+from .conjugation import Conjugation, diagonal_phase, shift_columns
 from .core import ConjtoepError, Tolerance, DEFAULT_TOLERANCE, decide, require_coefficient
 from .hardy import TruncatedOperator, toeplitz_gather
 from .symmetry import definition_residual, transpose_defect
@@ -267,16 +267,14 @@ def doubly_commuting_residual(conj: Conjugation, box: BoxTruncation) -> dict:
     positions = box.window_positions(tuple(max(0, n - 1) for n in box.degrees))
     # M_{z_i} moves row flat(k) to flat(k + e_i), whose code is one place
     # value higher; rows with k_i = n_i leave the box
-    a = conj.coeff
     codes = box._codes
     position_of = np.zeros(int(codes.max()) + 1, dtype=np.intp)
     position_of[codes] = np.arange(box.size)
     shifts = []
     for axis in range(box.d):
         src = np.flatnonzero(box._index_array[:, axis] < box.degrees[axis])
-        shifted = np.zeros(a.shape, dtype=np.complex128)
-        shifted[position_of[codes[src] + box._places[axis]]] = a[src]
-        shifts.append(a @ np.conj(shifted, out=shifted))
+        dst = position_of[codes[src] + box._places[axis]]
+        shifts.append(shift_columns(conj.coeff, box.size, src, dst))
 
     commute = 0.0
     star = 0.0

@@ -16,8 +16,10 @@ implemented here as an independent numerical check:
   ``X(k) Phi+ = Y(k) Phi-``.
 
 A sixth check (``s_toeplitz``) verifies the necessary shift-compression
-condition ``S^H T S = T`` with ``S = C M_z C``; it can pass for symbols that
-are not symmetric and is never counted toward criterion agreement.
+condition ``S^H T S = T`` with ``S = C M_z C = U Z U^H`` on the diagonal
+steps of ``G = U^H T U``, since ``S^H T S - T = U (Z^H G Z - G) U^H``; it can
+pass for symbols that are not symmetric and is never counted toward
+criterion agreement.
 
 Verdicts are tail-aware.  Banded conjugations give exact finite sums.  Dense
 conjugations are re-materialized at an internally padded degree until the
@@ -34,8 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .conjugation import Conjugation, family_spec_to_dict, materialize
-from .conjugation import shift_columns, working_coefficients
+from .conjugation import Conjugation, family_spec_to_dict, materialize, working_coefficients
 from .core import (
     FAIL,
     INCONCLUSIVE,
@@ -47,7 +48,7 @@ from .core import (
     Window,
     decide,
 )
-from .hardy import LaurentSymbol, compression_residual, is_toeplitz, toeplitz_matrix
+from .hardy import LaurentSymbol, is_toeplitz, toeplitz_matrix
 
 __all__ = [
     "PASS",
@@ -187,6 +188,11 @@ class _Plan:
         return transpose_defect(self.a_work, self.t_work, slice(self.window + 1))
 
     @cached_property
+    def toeplitz_step(self) -> float:
+        """Largest diagonal step of the defect, hence of ``U^H T U``."""
+        return is_toeplitz(self.defect, Window.square(self.window))[1]
+
+    @cached_property
     def xy(self) -> tuple[np.ndarray, np.ndarray]:
         """The ``X(k)``/``Y(k)`` matrices for ``k = 0..window``, stacked."""
         w = self.window
@@ -201,8 +207,7 @@ def _make_plan(phi: LaurentSymbol, conj: Conjugation, config: CheckConfig | None
     threshold = config.tolerance.threshold(scale)
 
     # Every check reads indices up to window + reach: banded C T* C is exact
-    # up to n - (2 band_c + band), S = C M_z C on columns up to
-    # n - 1 - 2 band_c, and X/Y reads one column beyond the window.
+    # up to n - (2 band_c + band), and X/Y reads one column beyond the window.
     band_c = conj.band
     reach = max(band, 1) + (0 if band_c is None else 2 * band_c)
     if config.window is not None:
@@ -237,14 +242,15 @@ def _make_plan(phi: LaurentSymbol, conj: Conjugation, config: CheckConfig | None
 def definition_residual(a_work: np.ndarray, t_work: np.ndarray, rows, cols) -> float:
     """Frobenius norm of ``(C T* C - T)`` on an index set.
 
-    ``C T* C`` is assembled columnwise as ``A conj(T^H (A e_p))``, stacked
-    into one product.  Shared by the one-variable and polydisc definition
-    checks so that their one-variable specializations agree bit for bit.
+    ``C T* C`` is assembled columnwise as ``A conj(T^H (A e_p))`` on the
+    rows of the set only, in one product.  Shared by the one-variable and
+    polydisc definition checks so that their one-variable specializations
+    agree bit for bit.
     """
     rows = np.asarray(rows)
     cols = np.asarray(cols)
-    image = a_work @ np.conj(t_work.conj().T @ a_work[:, cols])
-    diff = image[rows] - t_work[np.ix_(rows, cols)]
+    image = t_work.conj().T @ a_work[:, cols]
+    diff = a_work[rows] @ np.conj(image, out=image) - t_work[np.ix_(rows, cols)]
     return float(np.linalg.norm(diff))
 
 
@@ -285,9 +291,7 @@ def check_transpose_basis(
 
 
 def _conjugated_toeplitz(plan: _Plan) -> CriterionResult:
-    # U^H T U = defect + T^T and T^T is exactly Toeplitz, so the product is
-    # Toeplitz exactly when the defect is.
-    _, toep_residual = is_toeplitz(plan.defect, Window.square(plan.window))
+    toep_residual = plan.toeplitz_step
     matrix_residual = float(np.linalg.norm(plan.defect))
     residual = max(matrix_residual, toep_residual)
     verdict = decide(residual, plan.threshold, plan.tail_bound)
@@ -416,9 +420,7 @@ def check_xy(
 
 
 def _s_toeplitz(plan: _Plan) -> CriterionResult:
-    w = plan.window
-    sw = shift_columns(plan.a_work, w + 1)
-    residual = compression_residual(plan.t_work, sw, Window.square(w))
+    residual = plan.toeplitz_step
     verdict = decide(residual, plan.threshold, plan.tail_bound)
     return CriterionResult(verdict, residual, plan.tail_bound)
 
@@ -427,6 +429,10 @@ def check_s_toeplitz_necessary(
     phi: LaurentSymbol, conj: Conjugation, config: CheckConfig | None = None
 ) -> CriterionResult:
     """Necessary-condition filter ``S^H T S = T`` with ``S = C M_z C``.
+
+    ``S^H T S - T = U (Z^H G Z - G) U^H`` with ``G = U^H T U``, so the
+    residual is the largest diagonal step of ``G`` on the window: the
+    ``toeplitz_residual`` of :func:`check_conjugated_toeplitz`.
 
     A pass here never certifies symmetry (coordinate multiplication by z is
     the standard counterexample with the canonical conjugation); a decisive

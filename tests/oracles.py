@@ -235,3 +235,13 @@ def tilde_mismatch(a, t, positions):
     f = a[:, positions]
     gram = f.conj().T @ (t @ f)
     return float(np.max(np.abs(gram - t[np.ix_(positions, positions)].T)))
+
+
+def s_toeplitz_filter(a, t, window):
+    """Frobenius norm of ``S^H T S - T`` on ``0..window`` with the columns of
+    ``S = C M_z C`` built in the canonical basis (apply C, shift by one
+    coefficient, apply C again), the way the filter was once computed."""
+    shifted = np.zeros((a.shape[0], window + 1), dtype=np.complex128)
+    shifted[1:] = a[:-1, : window + 1]
+    s = a @ np.conj(shifted)
+    return float(np.linalg.norm(s.conj().T @ t @ s - t[: window + 1, : window + 1]))

@@ -1,13 +1,17 @@
 import argparse
+import importlib
 import json
+import keyword
 import math
 import os
+import pkgutil
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conjtoep
 import conjtoep.cli as cli
 import conjtoep.symmetry as symmetry
 from conjtoep.cli import (
@@ -256,6 +260,22 @@ def test_scan_trigpoly_small(capsys):
     assert payload["theorem_reproduced"]
 
 
+def test_scan_trigpoly_even_grid_exits_0(capsys):
+    code, payload = run(capsys, "scan-trigpoly", "--alpha", "0.5", "--grid-points", "4", "--degree", "12")
+    assert code == EXIT_PASS
+    assert payload["theorem_reproduced"] and payload["passing"] == []
+
+
+def test_check_finite_refuses_a_dense_conjugation(capsys):
+    code = main([
+        "check-finite", "--symbol", '{"N": 2, "a": {"0": [1, 0]}}',
+        "--conj", '{"family": "composition", "alpha": [0.5, 0]}',
+    ])
+    assert code == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "truncated dense conjugation" in err
+
+
 def test_malformed_json_exits_64(capsys):
     code = main(["check", "--symbol", '{"coeffs": {', "--conj", THETA_PI])
     assert code == EXIT_BAD_INPUT
@@ -391,6 +411,23 @@ def test_readme_flag_table_matches_parser():
         for name, sub in subparsers.choices.items()
     }
     assert table == parsed
+
+
+def test_readme_layout_names_exist():
+    # every identifier the layout table names, bar the command `conjtoep`,
+    # is a module-level attribute
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `conjtoep\.[a-z]+` \| (.*) \|$", readme, flags=re.MULTILINE)
+    names = {
+        name
+        for row in rows
+        for quoted in re.findall(r"`([^`]+)`", row)
+        for name in quoted.split("/")
+        if name.isidentifier() and not keyword.iskeyword(name)
+    } - {"conjtoep"}
+    modules = [importlib.import_module(f"conjtoep.{m.name}") for m in pkgutil.iter_modules(conjtoep.__path__)]
+    assert len(rows) == len(modules) and "shift_columns" in names
+    assert {name for name in names if not any(hasattr(m, name) for m in modules)} == set()
 
 
 def test_help_exits_0(capsys):

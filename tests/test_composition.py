@@ -189,6 +189,13 @@ def test_scan_small_grid_reproduces_constants_only():
     assert report.locus_points > 0
 
 
+def test_scan_without_constants_reproduces_when_nothing_passes():
+    # an even grid has no 0, so it holds no constant symbol to pass
+    report = scan_trigpoly_theorem(CompositionParams(0.5), TrigpolyGrid.real_grid(points=4), degree=12)
+    assert report.passing == ()
+    assert report.theorem_reproduced
+
+
 def test_scan_degenerate_grid_passes():
     grid = TrigpolyGrid((0j,), (0j,), (0j,))
     report = scan_trigpoly_theorem(CompositionParams(0.3), grid, degree=16)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conjtoep.conjugation import Conjugation, materialize, CanonicalJ, is_conjugation
+from conjtoep.conjugation import Composition, Conjugation, materialize, CanonicalJ, is_conjugation
 from conjtoep.core import ConjtoepError, Window, random_symmetric_unitary
 from conjtoep.finite import (
     FiniteToeplitz,
@@ -123,6 +123,16 @@ def test_size_mismatch_raises():
         finite_symmetry_criterion(t, toeplitz_conjugation(2))
     with pytest.raises(ConjtoepError):
         general_symmetry(np.eye(3, dtype=complex), toeplitz_conjugation(3))
+
+
+def test_truncated_dense_conjugation_is_refused():
+    # the truncated composition matrix is not unitary, so the identity
+    # would measure the truncation, not an asymmetry
+    conj = materialize(Composition(0.5), 2)
+    with pytest.raises(ConjtoepError, match="truncated dense conjugation"):
+        finite_symmetry_criterion(FiniteToeplitz(2, {0: 1}), conj)
+    with pytest.raises(ConjtoepError, match="truncated dense conjugation"):
+        general_symmetry(np.eye(3, dtype=complex), conj)
 
 
 def test_finite_json_round_trip():

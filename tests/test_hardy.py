@@ -1,8 +1,19 @@
+import cmath
+
 import numpy as np
 import pytest
 
-from conjtoep.core import ExactnessError, Window
-from conjtoep.conjugation import CanonicalJ, ThetaXi, materialize, shift_from_conjugation
+from conjtoep.core import ExactnessError, Window, random_unitary
+from conjtoep.conjugation import (
+    AlphaDiagonal,
+    BasisSpec,
+    CanonicalJ,
+    FromBasis,
+    ThetaXi,
+    materialize,
+    shift_from_conjugation,
+)
+from conjtoep.finite import toeplitz_conjugation
 from conjtoep.hardy import (
     LaurentSymbol,
     ShiftOperator,
@@ -100,6 +111,42 @@ def test_s_toeplitz_window_guard():
     s = shift_from_conjugation(materialize(CanonicalJ(), 5))
     with pytest.raises(ExactnessError, match="exactness window violated"):
         s_toeplitz_residual(t, s, Window.square(5))
+
+
+def test_s_toeplitz_guard_is_exact_at_its_boundary():
+    # column degree - band of C M_z C is exact for a conjugation of band b
+    # (shift band 2 b + 1): the residual on window degree - band equals the
+    # one at 15 more degrees, and one column more is refused
+    rng = np.random.default_rng(41)
+    for trial in range(60):
+        n = int(rng.integers(12, 30))
+        kind = trial % 3
+        if kind == 0:
+            family = ThetaXi(*rng.uniform(0, 2 * np.pi, 2))
+        elif kind == 1:
+            family = AlphaDiagonal(tuple(cmath.exp(1j * t) for t in rng.uniform(0, 2 * np.pi, rng.integers(1, 5))))
+        else:
+            size = int(rng.integers(2, 5))
+            columns = np.zeros((n + 1, size), dtype=complex)
+            columns[:size] = random_unitary(size, rng)
+            family = FromBasis(BasisSpec(columns, n))
+        phi = LaurentSymbol({m: complex(*rng.standard_normal(2)) for m in range(-2, 3)})
+        s, big = (shift_from_conjugation(materialize(family, d)) for d in (n, n + 15))
+        w = n - s.band
+        assert s.exact_columns() == w + 1
+        assert s.isometry_defect(w) < 1e-12
+        residual = s_toeplitz_residual(toeplitz_matrix(phi, n), s, Window.square(w))
+        reference = s_toeplitz_residual(toeplitz_matrix(phi, n + 15), big, Window.square(w))
+        assert residual == pytest.approx(reference, abs=1e-12 * phi.l1_norm())
+        with pytest.raises(ExactnessError):
+            s_toeplitz_residual(toeplitz_matrix(phi, n), s, Window.square(w + 1))
+
+
+def test_shift_of_a_full_band_conjugation_has_no_exact_column():
+    # the flip on C^4 has band 3, so C M_z C has band 7 and column 0 is not
+    # the untruncated one (it is zero here)
+    s = shift_from_conjugation(toeplitz_conjugation(3))
+    assert s.band == 7 and s.exact_columns() == 0
 
 
 def test_shift_operator_isometry_metadata():

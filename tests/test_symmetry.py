@@ -1,9 +1,12 @@
+import cmath
 import json
 
 import numpy as np
 import pytest
 
 import conjtoep.composition as composition
+import conjtoep.conjugation as conjugation
+import conjtoep.symmetry as symmetry
 from conjtoep.conjugation import (
     AlphaDiagonal,
     BasisSpec,
@@ -14,7 +17,7 @@ from conjtoep.conjugation import (
     ThetaXi,
     materialize,
 )
-from conjtoep.core import DEFAULT_TOLERANCE, Window, random_symmetric_unitary
+from conjtoep.core import DEFAULT_TOLERANCE, Window, decide, random_symmetric_unitary, random_unitary
 from conjtoep.finite import (
     _ROUNDOFF_REL,
     FiniteToeplitz,
@@ -46,6 +49,7 @@ from oracles import (
     coefficient_equations_residual,
     finite_asymmetry_residual,
     general_symmetry_residual,
+    s_toeplitz_filter,
     tilde_mismatch,
     xy_residual,
 )
@@ -230,6 +234,59 @@ def test_necessity_passes_on_symmetric_pair():
 def test_necessity_passes_despite_asymmetry():
     res = check_s_toeplitz_necessary(LaurentSymbol({1: 1}), materialize(CanonicalJ(), 24))
     assert res.verdict == PASS and res.residual < 1e-13
+
+
+def filter_instance(rng, kind):
+    """A symbol of band 0-4 with a planted ``alpha_diag`` conjugation (phases
+    symmetric for ``theta_xi`` up to a factor ``e^{i gamma}`` from index
+    ``p`` on), a 2-4-column ``basis`` one or a ``composition`` one with
+    ``|alpha| <= 0.8``."""
+    band = int(rng.integers(0, 5))
+    n = int(rng.integers(16, 40))
+    coeffs = {m: complex(*rng.standard_normal(2)) for m in range(-band, band + 1)}
+    if kind == "alpha_diag":
+        theta, xi, gamma = rng.uniform(0, 2 * np.pi, 3)
+        p = int(rng.integers(1, n - band + 1))
+        for m in range(1, band + 1):
+            coeffs[m] = coeffs[-m] * cmath.exp(-1j * m * theta)
+        alphas = tuple(cmath.exp(1j * (xi - k * theta) / 2 + 1j * gamma * (k >= p)) for k in range(n + 1))
+        family = AlphaDiagonal(alphas)
+    elif kind == "basis":
+        size = int(rng.integers(2, 5))
+        columns = np.zeros((n + 1, size), dtype=complex)
+        columns[:size] = random_unitary(size, rng)
+        family = FromBasis(BasisSpec(columns, n))
+    else:
+        family = Composition(rng.uniform(0.05, 0.8) * cmath.exp(1j * rng.uniform(0, 2 * np.pi)))
+    return LaurentSymbol(coeffs), materialize(family, n)
+
+
+def test_filter_reads_the_canonical_basis_verdict():
+    # S^H T S - T = U (Z^H G Z - G) U^H: the diagonal steps of G = U^H T U
+    # decide as the canonical-basis product of S = C M_z C does
+    rng = np.random.default_rng(2024)
+    verdicts = set()
+    for trial in range(60):
+        phi, conj = filter_instance(rng, ("alpha_diag", "basis", "composition")[trial % 3])
+        plan = _make_plan(phi, conj, None)
+        want = decide(
+            s_toeplitz_filter(plan.a_work, plan.t_work, plan.window), plan.threshold, plan.tail_bound
+        )
+        assert check_s_toeplitz_necessary(phi, conj).verdict == want, (phi, conj.label)
+        verdicts.add(want)
+    assert verdicts == {PASS, FAIL}
+
+
+def test_no_plan_builds_the_shift(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plan formed C M_z C")
+
+    monkeypatch.setattr(conjugation, "shift_columns", refuse)
+    monkeypatch.setattr(symmetry, "shift_columns", refuse, raising=False)
+    rng = np.random.default_rng(7)
+    for kind in ("composition", "basis"):
+        phi, conj = filter_instance(rng, kind)
+        assert "s_toeplitz" in run_all(phi, conj).verdicts
 
 
 def test_compression_fails_for_generic_basis_shift():
