@@ -17,9 +17,9 @@ implemented here as an independent numerical check:
 
 A sixth check (``s_toeplitz``) verifies the necessary shift-compression
 condition ``S^H T S = T`` with ``S = C M_z C = U Z U^H`` on the diagonal
-steps of ``G = U^H T U``, since ``S^H T S - T = U (Z^H G Z - G) U^H``; it can
-pass for symbols that are not symmetric and is never counted toward
-criterion agreement.
+steps of ``G = U^H T U`` into one index past the window, since
+``S^H T S - T = U (Z^H G Z - G) U^H``; it can pass for symbols that are not
+symmetric and is never counted toward criterion agreement.
 
 Verdicts are tail-aware.  Banded conjugations give exact finite sums.  Dense
 conjugations are re-materialized at an internally padded degree until the
@@ -184,13 +184,9 @@ class _Plan:
 
     @cached_property
     def defect(self) -> np.ndarray:
-        """``U^H T U - T^T`` on ``0..window``, read by two criteria."""
-        return transpose_defect(self.a_work, self.t_work, slice(self.window + 1))
-
-    @cached_property
-    def toeplitz_step(self) -> float:
-        """Largest diagonal step of the defect, hence of ``U^H T U``."""
-        return is_toeplitz(self.defect, Window.square(self.window))[1]
+        """``U^H T U - T^T`` on ``0..window + 1``: two criteria read its
+        ``0..window`` block, the S-filter its steps into index ``window + 1``."""
+        return transpose_defect(self.a_work, self.t_work, slice(self.window + 2))
 
     @cached_property
     def xy(self) -> tuple[np.ndarray, np.ndarray]:
@@ -277,7 +273,7 @@ def check_definition(
 
 
 def _transpose_basis(plan: _Plan) -> CriterionResult:
-    residual = float(np.linalg.norm(plan.defect))
+    residual = float(np.linalg.norm(plan.defect[:-1, :-1]))
     verdict = decide(residual, plan.threshold, plan.tail_bound)
     return CriterionResult(verdict, residual, plan.tail_bound)
 
@@ -291,8 +287,10 @@ def check_transpose_basis(
 
 
 def _conjugated_toeplitz(plan: _Plan) -> CriterionResult:
-    toep_residual = plan.toeplitz_step
-    matrix_residual = float(np.linalg.norm(plan.defect))
+    # T^T is exactly Toeplitz, so U^H T U is Toeplitz exactly when the defect is
+    defect = plan.defect[:-1, :-1]
+    _, toep_residual = is_toeplitz(defect, Window.square(plan.window))
+    matrix_residual = float(np.linalg.norm(defect))
     residual = max(matrix_residual, toep_residual)
     verdict = decide(residual, plan.threshold, plan.tail_bound)
     toeplitz_flag = decide(toep_residual, plan.threshold, plan.tail_bound) == PASS
@@ -420,7 +418,9 @@ def check_xy(
 
 
 def _s_toeplitz(plan: _Plan) -> CriterionResult:
-    residual = plan.toeplitz_step
+    # (Z^H G Z - G)[i, j] = G[i+1, j+1] - G[i, j], and T^T's steps vanish
+    d = plan.defect
+    residual = float(np.linalg.norm(d[1:, 1:] - d[:-1, :-1]))
     verdict = decide(residual, plan.threshold, plan.tail_bound)
     return CriterionResult(verdict, residual, plan.tail_bound)
 
@@ -431,8 +431,9 @@ def check_s_toeplitz_necessary(
     """Necessary-condition filter ``S^H T S = T`` with ``S = C M_z C``.
 
     ``S^H T S - T = U (Z^H G Z - G) U^H`` with ``G = U^H T U``, so the
-    residual is the largest diagonal step of ``G`` on the window: the
-    ``toeplitz_residual`` of :func:`check_conjugated_toeplitz`.
+    residual is the Frobenius norm of ``Z^H G Z - G`` on the window, the
+    steps ``G[i+1, j+1] - G[i, j]`` for ``i, j <= window``.  For a diagonal
+    or window-block ``U`` this is the norm of ``S^H T S - T`` on the window.
 
     A pass here never certifies symmetry (coordinate multiplication by z is
     the standard counterexample with the canonical conjugation); a decisive

@@ -240,13 +240,24 @@ def filter_instance(rng, kind):
     """A symbol of band 0-4 with a planted ``alpha_diag`` conjugation (phases
     symmetric for ``theta_xi`` up to a factor ``e^{i gamma}`` from index
     ``p`` on), a 2-4-column ``basis`` one or a ``composition`` one with
-    ``|alpha| <= 0.8``."""
+    ``|alpha| <= 0.8``, and a window: ``None`` for the default one, or
+    ``p - 1``.  The break ``p`` lies inside the default window, one index past
+    it, or one index past a user window ``p - 1``; the last item says which
+    of the last two."""
     band = int(rng.integers(0, 5))
     n = int(rng.integers(16, 40))
     coeffs = {m: complex(*rng.standard_normal(2)) for m in range(-band, band + 1)}
+    window, past = None, False
     if kind == "alpha_diag":
         theta, xi, gamma = rng.uniform(0, 2 * np.pi, 3)
-        p = int(rng.integers(1, n - band + 1))
+        where = int(rng.integers(0, 3))
+        if where == 0:
+            p = int(rng.integers(1, n - band + 1))
+        elif where == 1:
+            p, past = n - max(band, 1) + 1, True
+        else:
+            p = int(rng.integers(band + 1, n - band + 1))
+            window, past = p - 1, True
         for m in range(1, band + 1):
             coeffs[m] = coeffs[-m] * cmath.exp(-1j * m * theta)
         alphas = tuple(cmath.exp(1j * (xi - k * theta) / 2 + 1j * gamma * (k >= p)) for k in range(n + 1))
@@ -258,23 +269,31 @@ def filter_instance(rng, kind):
         family = FromBasis(BasisSpec(columns, n))
     else:
         family = Composition(rng.uniform(0.05, 0.8) * cmath.exp(1j * rng.uniform(0, 2 * np.pi)))
-    return LaurentSymbol(coeffs), materialize(family, n)
+    return LaurentSymbol(coeffs), materialize(family, n), window, past
 
 
 def test_filter_reads_the_canonical_basis_verdict():
-    # S^H T S - T = U (Z^H G Z - G) U^H: the diagonal steps of G = U^H T U
-    # decide as the canonical-basis product of S = C M_z C does
+    # S^H T S - T = U (Z^H G Z - G) U^H: the steps of G = U^H T U into index
+    # window + 1 decide as the canonical-basis product of S = C M_z C does,
+    # with a phase break just past the window too; for a diagonal U, or one
+    # whose block lies in the window, the two residuals are equal
     rng = np.random.default_rng(2024)
-    verdicts = set()
-    for trial in range(60):
-        phi, conj = filter_instance(rng, ("alpha_diag", "basis", "composition")[trial % 3])
-        plan = _make_plan(phi, conj, None)
-        want = decide(
-            s_toeplitz_filter(plan.a_work, plan.t_work, plan.window), plan.threshold, plan.tail_bound
-        )
-        assert check_s_toeplitz_necessary(phi, conj).verdict == want, (phi, conj.label)
-        verdicts.add(want)
+    verdicts, past_verdicts = set(), set()
+    for trial in range(90):
+        kind = ("alpha_diag", "basis", "composition")[trial % 3]
+        phi, conj, window, past = filter_instance(rng, kind)
+        config = CheckConfig(degree=conj.degree, window=window)
+        plan = _make_plan(phi, conj, config)
+        oracle = s_toeplitz_filter(plan.a_work, plan.t_work, plan.window)
+        result = check_s_toeplitz_necessary(phi, conj, config)
+        assert result.verdict == decide(oracle, plan.threshold, plan.tail_bound), (phi, conj.label, window)
+        if kind != "composition":
+            assert abs(result.residual - oracle) <= 1e-12 * max(1.0, phi.l1_norm())
+        verdicts.add(result.verdict)
+        if past:
+            past_verdicts.add(result.verdict)
     assert verdicts == {PASS, FAIL}
+    assert FAIL in past_verdicts
 
 
 def test_no_plan_builds_the_shift(monkeypatch):
@@ -285,7 +304,7 @@ def test_no_plan_builds_the_shift(monkeypatch):
     monkeypatch.setattr(symmetry, "shift_columns", refuse, raising=False)
     rng = np.random.default_rng(7)
     for kind in ("composition", "basis"):
-        phi, conj = filter_instance(rng, kind)
+        phi, conj, _, _ = filter_instance(rng, kind)
         assert "s_toeplitz" in run_all(phi, conj).verdicts
 
 
