@@ -10,13 +10,14 @@ Each conjugation also carries its ``band`` so downstream residual checks can
 compute exactness windows instead of assuming them: a banded matrix (all
 coefficients vanish beyond ``|m - n| > band``) gives windows by arithmetic,
 and a dense one (``band is None``) gets Parseval tail bounds measured from
-its materialized columns.
+its materialized columns.  A band-0 conjugation is stored as its diagonal.
 """
 
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,7 @@ __all__ = [
     "parse_family_spec",
     "family_spec_to_dict",
     "materialize",
+    "phase_diagonal",
     "conjugation_from_fixed_basis",
     "is_conjugation",
     "apply_conjugation",
@@ -54,6 +56,11 @@ __all__ = [
     "intertwine_lambda",
     "working_coefficients",
 ]
+
+
+# Coefficients of modulus at most this count as zero when a band is measured
+# (conjugation_from_fixed_basis) or a band-0 matrix is reduced to its diagonal.
+_OFF_BAND = 1e-13
 
 
 class NotConjugationError(ConjtoepError):
@@ -73,9 +80,15 @@ class Conjugation:
     C^(degree+1) has band ``degree``.  ``family`` keeps the generating recipe
     when known so that dense families can be re-materialized at a padded
     degree for tail-controlled checks.
+
+    ``entries`` is the coefficient matrix, except for band 0, where it is
+    the diagonal (a diagonal matrix passed in is reduced to it): finite and
+    of modulus at most 1.  Such a conjugation forms the n x n ``coeff`` only
+    when something reads it; the diagonal kernels of the definition and the
+    polydisc checks never do.
     """
 
-    coeff: np.ndarray
+    entries: np.ndarray
     degree: int
     band: int | None
     family: object | None = None
@@ -83,15 +96,36 @@ class Conjugation:
     notes: tuple = ()
 
     def __post_init__(self):
-        m = require_matrix(self.coeff, square=True)
+        m = np.asarray(self.entries)
+        if self.band != 0:
+            m = require_matrix(m, square=True)
+            if float(np.max(np.abs(m - m.T))) > 1e-9:
+                raise NotConjugationError("coefficient matrix must be symmetric")
+        else:
+            if m.ndim == 2:
+                m = require_matrix(m, square=True)
+                if float(np.max(np.abs(m - np.diag(np.diagonal(m))))) > _OFF_BAND:
+                    raise NotConjugationError("a band-0 coefficient matrix must be diagonal")
+                m = np.diagonal(m)
+            m = np.array(m, dtype=np.complex128)
+            if m.ndim != 1 or not np.all(np.isfinite(m)):
+                raise ConjtoepError("a band-0 conjugation needs a finite diagonal")
         m.setflags(write=False)
-        object.__setattr__(self, "coeff", m)
+        object.__setattr__(self, "entries", m)
         if m.shape[0] != self.degree + 1:
             raise ConjtoepError("coefficient matrix size must be degree + 1")
         if float(np.max(np.abs(m))) > 1.0 + 1e-9:
             raise NotConjugationError("conjugation coefficients must have modulus at most 1")
-        if float(np.max(np.abs(m - m.T))) > 1e-9:
-            raise NotConjugationError("coefficient matrix must be symmetric")
+
+    @cached_property
+    def coeff(self) -> np.ndarray:
+        """The read-only coefficient matrix ``A``; formed from the diagonal
+        on first read when the band is 0."""
+        if self.band != 0:
+            return self.entries
+        m = np.diag(self.entries)
+        m.setflags(write=False)
+        return m
 
     def tails(self, level: int, cols: int) -> np.ndarray:
         """Column tail bounds ``sqrt(1 - ||col[:level+1]||^2)`` for cols ``0..cols``."""
@@ -224,16 +258,27 @@ def parse_family_spec(data: dict):
     raise ConjtoepError(f"unknown family {kind!r}")
 
 
-def diagonal_phase(k_dot_theta: float, xi_sum: float) -> complex:
-    """Diagonal coefficient ``exp(i xi) exp(-i k.theta)`` shared by the
-    one-variable and multi-variable phase families."""
-    return cmath.exp(1j * xi_sum) * cmath.exp(-1j * k_dot_theta)
+def phase_diagonal(indices: np.ndarray, theta, xi) -> np.ndarray:
+    """Diagonal ``exp(i sum xi) exp(-i k.theta)`` for each row ``k`` of the
+    integer ``(modes, d)`` array ``indices``: the one-variable and
+    multi-variable phase families share it, so their one-variable diagonals
+    agree bit for bit.  Non-finite phases are refused."""
+    if not all(math.isfinite(v) for v in (*theta, *xi)):
+        raise ConjtoepError("phases theta and xi must be finite")
+    k_dot_theta = indices[:, 0] * theta[0]
+    for axis in range(1, len(theta)):
+        k_dot_theta = k_dot_theta + indices[:, axis] * theta[axis]
+    xi_sum = sum(xi)
+    if not (math.isfinite(xi_sum) and np.all(np.isfinite(k_dot_theta))):
+        raise ConjtoepError("phases theta and xi overflow")
+    return np.exp(1j * xi_sum) * np.exp(-1j * k_dot_theta)
 
 
 def materialize(spec, degree: int) -> Conjugation:
     """Materialize a family at a truncation degree.
 
-    CanonicalJ is the identity matrix; the phase families are diagonal;
+    CanonicalJ is the identity; the phase families are diagonal (all three
+    keep only their diagonal);
     Composition is the dense weighted-composition matrix with geometric
     decay; FromBasis goes through ``conjugation_from_fixed_basis``.
     """
@@ -241,14 +286,14 @@ def materialize(spec, degree: int) -> Conjugation:
         raise ConjtoepError("degree must be nonnegative")
     n = degree + 1
     if isinstance(spec, CanonicalJ):
-        return Conjugation(np.eye(n, dtype=np.complex128), degree, 0, spec, "canonical_j")
+        return Conjugation(np.ones(n, dtype=np.complex128), degree, 0, spec, "canonical_j")
     if isinstance(spec, ThetaXi):
-        diag = np.array([diagonal_phase(k * spec.theta, spec.xi) for k in range(n)])
+        diag = phase_diagonal(np.arange(n)[:, None], (spec.theta,), (spec.xi,))
         label = f"theta_xi(theta={spec.theta:g}, xi={spec.xi:g})"
-        return Conjugation(np.diag(diag), degree, 0, spec, label)
+        return Conjugation(diag, degree, 0, spec, label)
     if isinstance(spec, AlphaDiagonal):
         diag = np.array([spec.value(k) ** 2 for k in range(n)])
-        return Conjugation(np.diag(diag), degree, 0, spec, "alpha_diag")
+        return Conjugation(diag, degree, 0, spec, "alpha_diag")
     if isinstance(spec, Composition):
         params = CompositionParams(spec.alpha)
         matrix = composition_matrix(params, degree)
@@ -293,7 +338,7 @@ def conjugation_from_fixed_basis(
             f"(symmetry {residuals['symmetry']:.2e}, unitarity {residuals['unitarity']:.2e}); "
             "supplied columns must span the leading coordinates they touch"
         )
-    support = np.argwhere(np.abs(coeff) > 1e-13)
+    support = np.argwhere(np.abs(coeff) > _OFF_BAND)
     band = int(np.max(np.abs(support[:, 0] - support[:, 1]))) if support.size else 0
     notes = ()
     if k < n:
@@ -345,15 +390,14 @@ def canonical_factorization(c: Conjugation, tol: Tolerance = DEFAULT_TOLERANCE) 
     return c.coeff
 
 
-def shift_columns(a: np.ndarray, count: int, src=slice(0, -1), dst=slice(1, None)) -> np.ndarray:
-    """Leading ``count`` columns of ``C M C`` for the coefficient matrix ``a``.
+def shift_columns(a: np.ndarray, count: int) -> np.ndarray:
+    """Leading ``count`` columns of ``C M_z C`` for the coefficient matrix ``a``.
 
-    Column ``n`` is ``a conj(M a e_n)``: apply C, move coefficient rows
-    ``src`` to rows ``dst`` (the default ``M = M_z`` moves row ``r`` to
-    ``r + 1``) and drop the rest, apply C again.
+    Column ``n`` is ``a conj(M_z a e_n)``: apply C, move every coefficient
+    row ``r`` to ``r + 1`` and drop the last, apply C again.
     """
     shifted = np.zeros((a.shape[0], count), dtype=np.complex128)
-    shifted[dst] = a[src, :count]
+    shifted[1:] = a[:-1, :count]
     return a @ np.conj(shifted, out=shifted)
 
 

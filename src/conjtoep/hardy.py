@@ -22,6 +22,9 @@ from .core import (
     require_matrix,
 )
 
+# Index differences gathered per block of rows in toeplitz_gather (2 MiB of int64).
+_GATHER_BLOCK = 1 << 18
+
 __all__ = [
     "LaurentSymbol",
     "TruncatedOperator",
@@ -132,19 +135,25 @@ def toeplitz_gather(coefficients: dict, codes: np.ndarray) -> TruncatedOperator:
     and ``coefficients`` maps codes to symbol coefficients; entry ``(p, q)``
     is the coefficient at ``codes[p] - codes[q]``.  Compressing a
     multiplication operator never mixes the retained coefficients, so the
-    truncation is exact everywhere.  The gathered matrix is frozen, so the
-    operator takes it without a copy.
+    truncation is exact everywhere.  Rows are gathered in blocks of about
+    ``_GATHER_BLOCK`` entries, so the index differences never take a
+    matrix-sized array.  The gathered matrix is frozen, so the operator
+    takes it without a copy.
     """
     span = int(np.ptp(codes))
     table = np.zeros(2 * span + 1, dtype=np.complex128)
     for c, v in coefficients.items():
         if -span <= c <= span:
             table[c + span] = v
-    diff = codes[:, None] - codes[None, :]
-    diff += span
-    matrix = table[diff]
+    n = codes.size
+    matrix = np.empty((n, n), dtype=np.complex128)
+    offset = codes - span
+    step = max(1, _GATHER_BLOCK // n)
+    for start in range(0, n, step):
+        diff = codes[start : start + step, None] - offset
+        np.take(table, diff, out=matrix[start : start + step], mode="clip")
     matrix.setflags(write=False)
-    return TruncatedOperator(matrix, codes.size - 1)
+    return TruncatedOperator(matrix, n - 1)
 
 
 def toeplitz_matrix(phi: LaurentSymbol, degree: int) -> TruncatedOperator:

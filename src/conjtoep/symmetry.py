@@ -60,6 +60,7 @@ __all__ = [
     "SymmetryReport",
     "CriterionDisagreement",
     "definition_residual",
+    "diagonal_definition_defect",
     "transpose_defect",
     "coefficient_defect",
     "check_definition",
@@ -181,6 +182,7 @@ class _Plan:
     t_work: np.ndarray
     work_degree: int
     tail_bound: float
+    diagonal: np.ndarray | None = None
 
     @cached_property
     def defect(self) -> np.ndarray:
@@ -232,6 +234,7 @@ def _make_plan(phi: LaurentSymbol, conj: Conjugation, config: CheckConfig | None
         t_work=toeplitz_matrix(phi, work_degree).matrix,
         work_degree=work_degree,
         tail_bound=_TAIL_FACTOR * scale * tail * (window + 1),
+        diagonal=conj.entries if band_c == 0 else None,
     )
 
 
@@ -239,15 +242,41 @@ def definition_residual(a_work: np.ndarray, t_work: np.ndarray, rows, cols) -> f
     """Frobenius norm of ``(C T* C - T)`` on an index set.
 
     ``C T* C`` is assembled columnwise as ``A conj(T^H (A e_p))`` on the
-    rows of the set only, in one product.  Shared by the one-variable and
-    polydisc definition checks so that their one-variable specializations
-    agree bit for bit.
+    rows of the set only, in one product; ``T^T conj(A e_p)`` is the
+    conjugate of ``T^H (A e_p)``, so ``T`` is never conjugated whole.
     """
     rows = np.asarray(rows)
     cols = np.asarray(cols)
-    image = t_work.conj().T @ a_work[:, cols]
-    diff = a_work[rows] @ np.conj(image, out=image) - t_work[np.ix_(rows, cols)]
+    image = t_work.T @ np.conj(a_work[:, cols])
+    diff = a_work[rows] @ image - t_work[np.ix_(rows, cols)]
     return float(np.linalg.norm(diff))
+
+
+def diagonal_definition_defect(diag: np.ndarray, coefficients: dict, codes: np.ndarray) -> np.ndarray:
+    """Entries of ``C T* C - T`` for the diagonal conjugation ``A = diag(d)``
+    that can be nonzero, among the modes with additive integer ``codes``.
+
+    Entry ``(k, l)`` is ``d_k (phi(l - k) conj(d_l)) - phi(k - l)``,
+    multiplied in the order of the dense product; it vanishes unless
+    ``k - l`` or ``l - k`` is in the support.  ``coefficients`` maps codes
+    to symbol coefficients, and a difference of two mode codes must
+    determine the index difference (as the polydisc's mixed-radix codes
+    do).  The entries come offset by offset, each in mode order.  One-variable
+    plans with a band-0 conjugation and the polydisc definition check share
+    this kernel, so their one-variable specializations agree bit for bit.
+    No matrix is formed.
+    """
+    offsets = sorted(set(coefficients) | {-c for c in coefficients})
+    reach = max(map(abs, offsets), default=0)
+    low = int(codes.min()) - reach
+    slot = np.full(int(codes.max()) + reach - low + 1, -1, dtype=np.intp)
+    slot[codes - low] = np.arange(codes.size)
+    # row k pairs with the column l whose code is code(k) - c, one offset c per row
+    cols = slot[codes - low - np.array(offsets, dtype=np.intp)[:, None]]
+    which, rows = np.nonzero(cols >= 0)
+    minus = np.array([coefficients.get(-c, 0j) for c in offsets], dtype=np.complex128)
+    plus = np.array([coefficients.get(c, 0j) for c in offsets], dtype=np.complex128)
+    return diag[rows] * (minus[which] * np.conj(diag[cols[which, rows]])) - plus[which]
 
 
 def transpose_defect(a_work: np.ndarray, t_work: np.ndarray, idx) -> np.ndarray:
@@ -260,7 +289,11 @@ def transpose_defect(a_work: np.ndarray, t_work: np.ndarray, idx) -> np.ndarray:
 
 def _definition(plan: _Plan) -> CriterionResult:
     idx = np.arange(plan.window + 1)
-    residual = definition_residual(plan.a_work, plan.t_work, idx, idx)
+    if plan.diagonal is None:
+        residual = definition_residual(plan.a_work, plan.t_work, idx, idx)
+    else:
+        defect = diagonal_definition_defect(plan.diagonal[idx], plan.phi.coefficients, idx)
+        residual = float(np.linalg.norm(defect))
     verdict = decide(residual, plan.threshold, plan.tail_bound)
     return CriterionResult(verdict, residual, plan.tail_bound)
 

@@ -245,3 +245,47 @@ def s_toeplitz_filter(a, t, window):
     shifted[1:] = a[:-1, : window + 1]
     s = a @ np.conj(shifted)
     return float(np.linalg.norm(s.conj().T @ t @ s - t[: window + 1, : window + 1]))
+
+
+def doubly_commuting_dense(a, degrees):
+    """Commutator, star-commutator and wandering-space diagnostics of
+    ``S_i = C M_{z_i} C`` from dense n x n matrices, as the polydisc check
+    once computed them: each ``S_i = A conj(P_i A)`` with the coordinate
+    shift ``P_i`` built entry by entry on the graded-lexicographic box,
+    commutators restricted to the window ``n_i - 1`` per axis, and the
+    wandering dimension from an SVD of the stacked windowed adjoints."""
+    order = gradedlex_box(degrees)
+    flat = {k: pos for pos, k in enumerate(order)}
+    n = len(order)
+    shifts = []
+    for axis in range(len(degrees)):
+        p = np.zeros((n, n), dtype=np.complex128)
+        for k, pos in flat.items():
+            up = k[:axis] + (k[axis] + 1,) + k[axis + 1 :]
+            if up in flat:
+                p[flat[up], pos] = 1.0
+        shifts.append(a @ np.conj(p @ a))
+    window = [pos for k, pos in flat.items() if all(c <= max(0, m - 1) for c, m in zip(k, degrees))]
+    grid = np.ix_(sorted(window), sorted(window))
+    commute = star = 0.0
+    for i in range(len(shifts)):
+        for j in range(i + 1, len(shifts)):
+            si, sj = shifts[i], shifts[j]
+            commute = max(commute, float(np.linalg.norm((si @ sj - sj @ si)[grid])))
+            star = max(star, float(np.linalg.norm((si.conj().T @ sj - sj @ si.conj().T)[grid])))
+    stacked = np.vstack([s.conj().T[grid] for s in shifts])
+    singular = np.linalg.svd(stacked, compute_uv=False)
+    cutoff = 1e-8 * max(1.0, float(singular[0]))
+    wandering = len(window) - int(np.sum(singular > cutoff))
+    return {"commute": commute, "star_commute": star, "wandering_dim": wandering}
+
+
+def difference_gather(coefficients, codes):
+    """Toeplitz gather through the full matrix of code differences, the way
+    ``toeplitz_gather`` once indexed its table in one step."""
+    span = int(np.ptp(codes))
+    table = np.zeros(2 * span + 1, dtype=np.complex128)
+    for c, v in coefficients.items():
+        if -span <= c <= span:
+            table[c + span] = v
+    return table[codes[:, None] - codes[None, :] + span]

@@ -224,6 +224,17 @@ def test_check_poly(capsys):
     assert payload["verdicts"] == {"coefficient": "pass", "definition": "pass"}
 
 
+@pytest.mark.parametrize("phases", ['"theta": [1.0, NaN], "xi": [0, 0]', '"theta": [0, 0], "xi": [Infinity, 0]'])
+def test_check_poly_refuses_non_finite_phases(capsys, phases):
+    code = main(
+        ["check-poly", "--symbol", '{"d": 2, "coeffs": {"1,0": [1, 0], "-1,0": [-1, 0]}}',
+         "--conj", '{"family": "poly_theta_xi", %s}' % phases, "--box", "2,2"]
+    )
+    assert code == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_check_finite(capsys):
     code, payload = run(
         capsys,

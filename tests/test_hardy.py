@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from conjtoep.hardy import (
     s_toeplitz_residual,
     toeplitz_matrix,
 )
+from conjtoep.polydisc import BoxTruncation, PolySymbol, poly_toeplitz
+
+from oracles import difference_gather
 
 
 def test_constant_symbol_gives_identity():
@@ -174,3 +178,27 @@ def test_degenerate_degree_zero():
     assert t.matrix.shape == (1, 1)
     ok, _ = is_toeplitz(t.matrix, Window.full(1))
     assert ok
+
+
+def test_blocked_gather_matches_the_full_difference_gather():
+    # sizes past one block of rows, for one-variable and mixed-radix codes
+    rng = np.random.default_rng(17)
+    phi = LaurentSymbol({n: complex(*rng.standard_normal(2)) for n in range(-3, 4)})
+    t = toeplitz_matrix(phi, 700).matrix
+    assert np.array_equal(t, difference_gather(phi.coefficients, np.arange(701)))
+    box = BoxTruncation((9, 9, 9))
+    coeffs = {tuple(int(c) for c in rng.integers(-2, 3, 3)): complex(*rng.standard_normal(2)) for _ in range(6)}
+    coded = {int(np.dot(k, box._places)): v for k, v in coeffs.items()}
+    t = poly_toeplitz(PolySymbol(3, coeffs), box).matrix
+    assert np.array_equal(t, difference_gather(coded, box._codes))
+
+
+def test_gather_needs_no_matrix_sized_index_array():
+    phi = LaurentSymbol({1: 0.3 + 0.1j, -2: 0.5, 0: 1.0})
+    tracemalloc.start()
+    try:
+        t = toeplitz_matrix(phi, 1912)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * t.matrix.nbytes

@@ -1,8 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conjtoep.conjugation import ThetaXi, materialize
-from conjtoep.core import ConjtoepError, Window
+import conjtoep.conjugation as conjugation
+import conjtoep.polydisc as polydisc
+from conjtoep.conjugation import AlphaDiagonal, BasisSpec, Conjugation, FromBasis, ThetaXi, materialize
+from conjtoep.core import DEFAULT_TOLERANCE, ConjtoepError, Window, random_unitary
 from conjtoep.hardy import LaurentSymbol, toeplitz_matrix
 from conjtoep.polydisc import (
     BoxTruncation,
@@ -13,9 +18,9 @@ from conjtoep.polydisc import (
     poly_conjugation,
     poly_toeplitz,
 )
-from conjtoep.symmetry import FAIL, PASS, check_definition
+from conjtoep.symmetry import FAIL, PASS, CheckConfig, _definition, _make_plan, check_definition, definition_residual
 
-from oracles import kron_poly_toeplitz
+from oracles import doubly_commuting_dense, kron_poly_toeplitz, tilde_mismatch
 
 
 def test_flat_enumeration_round_trip():
@@ -211,3 +216,150 @@ def test_dimension_validation():
 def test_window_positions_are_leading_for_one_variable():
     box = BoxTruncation((6,))
     np.testing.assert_array_equal(box.window_positions((3,)), np.arange(4))
+
+
+def _random_poly_symbol(rng, d, theta, symmetric):
+    coeffs = {}
+    for _ in range(3):
+        k = tuple(int(c) for c in rng.integers(-2, 3, d))
+        coeffs[k] = complex(*rng.standard_normal(2))
+        if symmetric:
+            coeffs[tuple(-c for c in k)] = np.exp(1j * float(np.dot(k, theta))) * coeffs[k]
+    return PolySymbol(d, coeffs)
+
+
+def test_structured_polydisc_checks_match_dense_oracles():
+    rng = np.random.default_rng(91)
+    verdicts = set()
+    for degrees in [(11,), (5, 4), (6, 6), (3, 4, 3), (4, 4, 4)]:
+        box = BoxTruncation(degrees)
+        d = box.d
+        for trial in range(6):
+            theta = tuple(rng.uniform(0, 2 * np.pi, d))
+            xi = tuple(rng.uniform(0, 2 * np.pi, d))
+            phi = _random_poly_symbol(rng, d, theta, trial % 2 == 1)
+            res = poly_check_definition(phi, theta, xi, box)
+            a = poly_conjugation(theta, xi, box).coeff
+            t = poly_toeplitz(phi, box).matrix
+            positions = box.window_positions(res.window)
+            scale = max(1.0, phi.l1_norm())
+            want = definition_residual(a, t, positions, positions)
+            assert abs(res.residual - want) <= 1e-13 * scale
+            assert abs(res.tilde_mismatch - tilde_mismatch(a, t, positions)) <= 1e-13 * scale
+            threshold = DEFAULT_TOLERANCE.threshold(scale)
+            assert res.verdict == (PASS if want <= threshold else FAIL)
+            verdicts.add(res.verdict)
+        conj = poly_conjugation(rng.uniform(0, 2 * np.pi, d), rng.uniform(0, 2 * np.pi, d), box)
+        got = doubly_commuting_residual(conj, box)
+        want = doubly_commuting_dense(conj.coeff, degrees)
+        assert got["wandering_dim"] == want["wandering_dim"] == 1
+        for key in ("commute", "star_commute"):
+            assert got[key] < 1e-13 and want[key] < 1e-13
+    assert verdicts == {PASS, FAIL}
+
+
+def test_one_variable_diagonal_definition_matches_dense_product():
+    rng = np.random.default_rng(92)
+    verdicts = set()
+    for trial in range(40):
+        degree = int(rng.integers(8, 30))
+        if trial % 2:
+            theta = float(rng.uniform(0, 2 * np.pi))
+            spec = ThetaXi(theta, float(rng.uniform(0, 2 * np.pi)))
+            coeffs = {n: complex(*rng.standard_normal(2)) for n in range(0, int(rng.integers(0, 4)))}
+            if trial % 4 == 1:
+                coeffs.update({-n: np.exp(1j * n * theta) * v for n, v in coeffs.items()})
+        else:
+            period = int(rng.integers(1, 4))
+            spec = AlphaDiagonal(tuple(np.exp(1j * rng.uniform(0, 2 * np.pi, period))), period)
+            coeffs = {n: complex(*rng.standard_normal(2)) for n in range(-2, 3) if rng.uniform() < 0.6}
+        phi = LaurentSymbol(coeffs)
+        plan = _make_plan(phi, materialize(spec, degree), CheckConfig(degree=degree))
+        idx = np.arange(plan.window + 1)
+        want = definition_residual(plan.a_work, plan.t_work, idx, idx)
+        got = _definition(plan)
+        assert abs(got.residual - want) <= 1e-13 * max(1.0, phi.l1_norm())
+        assert got.verdict == (PASS if want <= plan.threshold else FAIL)
+        verdicts.add(got.verdict)
+    assert verdicts == {PASS, FAIL}
+
+
+def test_zero_weights_widen_the_wandering_space():
+    # a vanishing diagonal entry kills the weights into and out of its mode
+    box = BoxTruncation((3, 3))
+    diag = np.ones(box.size, dtype=complex)
+    diag[box.flat((1, 1))] = 0.0
+    diag[box.flat((0, 2))] = 0.5j
+    conj = Conjugation(diag, box.size - 1, 0)
+    got = doubly_commuting_residual(conj, box)
+    want = doubly_commuting_dense(conj.coeff, box.degrees)
+    assert got["wandering_dim"] == want["wandering_dim"] > 1
+    for key in ("commute", "star_commute"):
+        assert got[key] == pytest.approx(want[key], abs=1e-14)
+    assert got["commute"] > 0.1
+
+
+def test_doubly_commuting_refuses_a_banded_conjugation():
+    box = BoxTruncation((2, 2))
+    columns = np.zeros((box.size, 2), dtype=complex)
+    columns[:2, :] = random_unitary(2, np.random.default_rng(5))
+    conj = materialize(FromBasis(BasisSpec(columns, box.size - 1)), box.size - 1)
+    assert conj.band == 1
+    with pytest.raises(ConjtoepError, match="band-0"):
+        doubly_commuting_residual(conj, box)
+
+
+def test_polydisc_checks_form_no_dense_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a polydisc check formed a dense matrix")
+
+    monkeypatch.setattr(polydisc, "poly_toeplitz", refuse)
+    monkeypatch.setattr(conjugation, "shift_columns", refuse)
+    box = BoxTruncation((4, 3, 2))
+    theta, xi = (0.4, 1.3, 2.2), (0.1, 0.2, 0.3)
+    phi = PolySymbol(3, {(1, 0, -1): 1.0, (0, 0, 0): 0.5j})
+    assert poly_check_definition(phi, theta, xi, box).verdict == FAIL
+    conj = poly_conjugation(theta, xi, box)
+    assert doubly_commuting_residual(conj, box)["wandering_dim"] == 1
+    assert "coeff" not in vars(conj)
+
+
+def test_large_box_runs_in_bounded_memory():
+    box = BoxTruncation((16, 16, 16))
+    theta, xi = (0.3, 1.1, 2.0), (0.1, 0.2, 0.3)
+    phi = PolySymbol(3, {(1, 0, -1): 0.5, (0, 0, 0): 1.0, (-2, 1, 0): 0.3j})
+    tracemalloc.start()
+    try:
+        conj = poly_conjugation(theta, xi, box)
+        res = poly_check_definition(phi, theta, xi, box)
+        dc = doubly_commuting_residual(conj, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert box.size == 4913
+    assert peak < 64 * 2**20
+    assert res.verdict == FAIL and res.window == (14, 15, 15)
+    assert dc["wandering_dim"] == 1 and dc["commute"] < 1e-12
+
+
+@pytest.mark.parametrize("theta, xi", [((1.0, math.nan), (0.0, 0.0)), ((math.inf, 0.0), (0.0, 0.0)),
+                                       ((0.0, 0.0), (-math.inf, 0.0)), ((0.0, 0.0), (1e308, 1e308))])
+def test_non_finite_phases_are_refused(theta, xi):
+    box = BoxTruncation((2, 2))
+    phi = PolySymbol(2, {(1, 0): 1.0, (-1, 0): -1.0})
+    with pytest.raises(ConjtoepError):
+        poly_conjugation(theta, xi, box)
+    with pytest.raises(ConjtoepError):
+        poly_check_definition(phi, theta, xi, box)
+    if not all(map(math.isfinite, theta)):
+        with pytest.raises(ConjtoepError):
+            check_poly_criterion(phi, theta)
+    with pytest.raises(ConjtoepError):
+        materialize(ThetaXi(theta[0] + theta[1], xi[0] + xi[1]), 4)
+
+
+def test_overflowing_criterion_phase_gets_no_verdict():
+    # k.theta overflows to inf, so exp(i k.theta) is NaN
+    phi = PolySymbol(2, {(1, 1): 1.0, (-1, -1): 1.0})
+    with np.errstate(invalid="ignore"), pytest.raises(ConjtoepError):
+        check_poly_criterion(phi, (1e308, 1e308))

@@ -2,7 +2,8 @@
 coefficients, refusal of non-finite ones on construction), of the CLI's
 exit codes over malformed JSON specs, and of the criterion suite (one index
 window for all six checks, exact on banded conjugations, and no verdict from
-overflowed arithmetic)."""
+overflowed arithmetic), and of the polydisc shift-tuple diagnostics against
+their dense oracle on diagonals that are not unimodular."""
 
 import cmath
 import contextlib
@@ -16,12 +17,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conjtoep.cli import main
-from conjtoep.conjugation import AlphaDiagonal, BasisSpec, CanonicalJ, FromBasis, ThetaXi, materialize
+from conjtoep.conjugation import AlphaDiagonal, BasisSpec, CanonicalJ, Conjugation, FromBasis, ThetaXi, materialize
 from conjtoep.core import FAIL, PASS, ConjtoepError
 from conjtoep.finite import FiniteToeplitz
 from conjtoep.hardy import LaurentSymbol
-from conjtoep.polydisc import PolySymbol
+from conjtoep.polydisc import BoxTruncation, PolySymbol, doubly_commuting_residual
 from conjtoep.symmetry import CheckConfig, CriterionDisagreement, run_all
+
+from oracles import doubly_commuting_dense
 
 finite = st.builds(complex, st.floats(allow_nan=False, allow_infinity=False),
                    st.floats(allow_nan=False, allow_infinity=False))
@@ -282,3 +285,26 @@ def test_huge_coefficients_never_pass(coeffs, m, family, degree):
         assert not isinstance(exc, CriterionDisagreement)
     else:
         assert PASS not in verdicts.values()
+
+
+@st.composite
+def diagonal_boxes(draw):
+    """A box of at most 64 modes and a diagonal whose moduli are 0 or in
+    [0.1, 1], so the shift weights are not unimodular and may vanish."""
+    degrees = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    box = BoxTruncation(degrees)
+    modulus = st.one_of(st.just(0.0), st.floats(0.1, 1.0))
+    moduli = draw(st.lists(modulus, min_size=box.size, max_size=box.size))
+    phases = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=box.size, max_size=box.size))
+    diag = np.array([r * cmath.exp(1j * p) for r, p in zip(moduli, phases)])
+    return box, Conjugation(diag, box.size - 1, 0)
+
+
+@given(diagonal_boxes())
+def test_doubly_commuting_matches_dense_oracle(instance):
+    box, conj = instance
+    got = doubly_commuting_residual(conj, box)
+    want = doubly_commuting_dense(conj.coeff, box.degrees)
+    assert got["wandering_dim"] == want["wandering_dim"]
+    for key in ("commute", "star_commute"):
+        assert got[key] == pytest.approx(want[key], abs=1e-12)
