@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import ConjtoepError, Tolerance, DEFAULT_TOLERANCE, decide
-from .hardy import LaurentSymbol, toeplitz_matrix
+from .hardy import LaurentSymbol, toeplitz_apply, toeplitz_matrix
 
 __all__ = [
     "CompositionParams",
@@ -84,25 +84,29 @@ def u_entry(params: CompositionParams, i: int, j: int) -> complex:
     return value
 
 
-def composition_matrix(params: CompositionParams, degree: int) -> np.ndarray:
-    """Dense (degree+1)^2 coefficient matrix of the composition conjugation.
+def composition_matrix(params: CompositionParams, degree: int, cols: int | None = None) -> np.ndarray:
+    """Coefficient matrix of the composition conjugation at a truncation degree.
 
     Column ``n`` holds the leading power-series coefficients of the image of
     ``z^n``; successive columns are produced by multiplying by the Blaschke
     factor, which is numerically stable (every column of the untruncated
     matrix is a unit vector).  The retained coefficients are exact: the
-    recurrence never consumes coefficients beyond the truncation.
+    recurrence never consumes coefficients beyond the truncation.  With
+    ``cols`` the recurrence stops after that many columns, giving the
+    ``(degree+1) x cols`` leading block bit for bit, since each column
+    depends only on the one before; the default builds all ``degree + 1``.
     """
     if degree < 0:
         raise ConjtoepError("degree must be nonnegative")
     a = params.alpha
     ac = a.conjugate()
     n = degree + 1
-    out = np.empty((n, n), dtype=np.complex128)
+    width = n if cols is None else min(cols, n)
+    out = np.empty((n, width), dtype=np.complex128)
     col = params.beta * ac ** np.arange(n)
     out[:, 0] = col
     twist = ac / a
-    for k in range(1, n):
+    for k in range(1, width):
         g = np.empty(n, dtype=np.complex128)
         acc = 0j
         for r in range(n):
@@ -140,17 +144,41 @@ def column_tails(matrix: np.ndarray, level: int, cols: int) -> np.ndarray:
 # the tail it measured and may come back inconclusive.
 PAD_LIMIT = 4096
 
+# Widest default window of a dense plan.  Its band is at most its window, so
+# a default dense plan reads at most ``2 * DENSE_WINDOW + 3`` leading columns,
+# the width of every cached block.
+DENSE_WINDOW = 8
+_CACHED_COLUMNS = 2 * DENSE_WINDOW + 3
+
 
 @lru_cache(maxsize=64)
 def _cached_composition_matrix(alpha: complex, degree: int) -> np.ndarray:
-    """Shared read-only materializations for repeated padded-degree lookups."""
-    matrix = composition_matrix(CompositionParams(alpha), degree)
+    """Shared read-only leading ``_CACHED_COLUMNS`` columns at a padded degree."""
+    matrix = composition_matrix(CompositionParams(alpha), degree, _CACHED_COLUMNS)
     matrix.setflags(write=False)
     return matrix
 
 
+def _leading_columns(alpha: complex, degree: int, count: int) -> np.ndarray:
+    """The leading ``count`` columns at ``degree``: a view of the cached block
+    when it is wide enough, else built for this request alone."""
+    if count <= _CACHED_COLUMNS:
+        return _cached_composition_matrix(alpha, degree)[:, :count]
+    return composition_matrix(CompositionParams(alpha), degree, count)
+
+
+@lru_cache(maxsize=1024)
+def _padded_tail(alpha: complex, degree: int, margin: int, cols: int) -> float:
+    """Largest of :func:`column_tails` over columns ``0..cols`` at level
+    ``degree - margin``; every decision on one conjugation walks the same
+    padded degrees, so each tail is measured once."""
+    block = _leading_columns(alpha, degree, cols + 1)
+    return float(np.max(column_tails(block, degree - margin, cols)))
+
+
 def _working_degree(params: CompositionParams, cols: int, margin: int, cap: float, start: int):
-    """Smallest padded degree whose measured tails meet ``cap`` (or :data:`PAD_LIMIT`).
+    """Smallest padded degree whose measured tails meet ``cap`` (or :data:`PAD_LIMIT`),
+    with the leading ``cols + 1`` columns there.
 
     The cap is floored at the tail resolution limit; asking for less would
     spin to the degree cap without gaining certainty.
@@ -158,10 +186,9 @@ def _working_degree(params: CompositionParams, cols: int, margin: int, cap: floa
     target = max(cap, TAIL_RESOLUTION)
     degree = max(start, cols + margin + 8)
     while True:
-        matrix = _cached_composition_matrix(params.alpha, degree)
-        tail = float(np.max(column_tails(matrix, degree - margin, cols)))
+        tail = _padded_tail(params.alpha, degree, margin, cols)
         if tail <= target or degree >= PAD_LIMIT:
-            return matrix, degree, tail
+            return _leading_columns(params.alpha, degree, cols + 1), degree, tail
         degree = min(PAD_LIMIT, int(degree * 1.6) + 8)
 
 
@@ -176,7 +203,8 @@ def check_w_symmetry_conditions(
     Evaluates ``phi_n = <T_phi W z^n, W 1>`` and ``phi_{-n} = <T_phi W 1, W z^n>``
     for ``n = 1..n_max`` using the u-entries, padding the internal truncation
     until the measured tail is negligible: the first row and column of the
-    transpose-basis defect.  Returns ``(verdict, residual)``.
+    transpose-basis defect, read off the padded matrix's leading columns.
+    Returns ``(verdict, residual)``.
     """
     from .symmetry import transpose_defect
 
@@ -185,11 +213,11 @@ def check_w_symmetry_conditions(
     scale = max(1.0, phi.l1_norm())
     threshold = tol.threshold(scale)
     cap = threshold / (16.0 * scale * max(1, n_max + 1))
-    matrix, degree, tail = _working_degree(
+    block, _, tail = _working_degree(
         params, cols=n_max + phi.band + 2, margin=phi.band + 1, cap=cap, start=48
     )
-    t = toeplitz_matrix(phi, degree).matrix
-    defect = transpose_defect(matrix, t, slice(n_max + 1))
+    f = block[:, : n_max + 1]
+    defect = transpose_defect(f, toeplitz_apply(phi, f), toeplitz_matrix(phi, n_max).matrix)
     residual = float(np.max(np.abs(np.r_[defect[0, 1:], defect[1:, 0]]), initial=0.0))
     return decide(residual, threshold, 8.0 * scale * tail), residual
 

@@ -127,6 +127,16 @@ class Conjugation:
         m.setflags(write=False)
         return m
 
+    def columns(self, count: int) -> np.ndarray:
+        """The leading ``count`` columns of ``A`` (all rows); a band-0
+        conjugation builds them from its diagonal without forming ``coeff``."""
+        if self.band != 0:
+            return self.coeff[:, :count]
+        width = min(count, self.degree + 1)
+        block = np.zeros((self.degree + 1, width), dtype=np.complex128)
+        block[np.arange(width), np.arange(width)] = self.entries[:width]
+        return block
+
     def tails(self, level: int, cols: int) -> np.ndarray:
         """Column tail bounds ``sqrt(1 - ||col[:level+1]||^2)`` for cols ``0..cols``."""
         if self.band is not None:
@@ -439,12 +449,13 @@ def intertwine_lambda(
         raise BasisError("intertwining test needs a full square basis at the same degree")
     if basis.orthonormality_defect() > tol.threshold(1.0) + 1e-8:
         raise BasisError("basis not orthonormal")
-    n = c.degree + 1
-    w = n - 2
-    canonical_shift = np.eye(n, k=-1, dtype=np.complex128)
-    s = b @ canonical_shift @ b.conj().T
+    w = c.degree - 1
+    # S = b Z b^H with the canonical shift Z, applied right to left
+    coords = b.conj().T @ c.coeff[:, : w + 1]
+    shifted = np.zeros_like(coords)
+    shifted[1:] = coords[:-1]
     lhs = c.coeff[:, 1 : w + 2]
-    rhs = s @ c.coeff[:, : w + 1]
+    rhs = b @ shifted
     threshold = tol.threshold(1.0)
     if float(np.max(np.abs(lhs - rhs))) > threshold:
         return None
@@ -459,18 +470,18 @@ def intertwine_lambda(
 def working_coefficients(
     c: Conjugation, cols: int, margin: int, cap: float
 ) -> tuple[np.ndarray, int, float]:
-    """Coefficient matrix padded until its measured tails meet ``cap``.
+    """Leading ``cols + 1`` columns of the coefficient matrix, padded until
+    their measured tails meet ``cap``.
 
     Banded conjugations (``band`` not None) are already exact and come back
-    unchanged with zero tail.  Dense families are re-materialized at
-    growing degrees until the Parseval tail over the needed columns drops
-    below ``cap`` (or the degree ``PAD_LIMIT`` is reached, in which case
-    the honest tail is returned for the caller's verdict logic).
+    at their own degree with zero tail.  Dense families are re-materialized
+    at growing degrees, one narrow block each, until the Parseval tail over
+    the needed columns drops below ``cap`` (or the degree ``PAD_LIMIT`` is
+    reached, in which case the honest tail is returned for the caller's
+    verdict logic).  Every block has all rows of its degree.
     """
-    if c.band is not None:
-        return c.coeff, c.degree, 0.0
-    if isinstance(c.family, Composition):
+    if c.band is None and isinstance(c.family, Composition):
         params = CompositionParams(c.family.alpha)
         return _working_degree(params, cols=cols, margin=margin, cap=cap, start=c.degree)
-    tails = c.tails(c.degree - margin, cols)
-    return c.coeff, c.degree, float(np.max(tails))
+    tail = 0.0 if c.band is not None else float(np.max(c.tails(c.degree - margin, cols)))
+    return c.columns(cols + 1), c.degree, tail

@@ -67,10 +67,12 @@ class FiniteToeplitz:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteToeplitz":
-        return cls(
-            int(data["N"]),
-            {int(k): complex(re, im) for k, (re, im) in data["a"].items()},
-        )
+        """Parse ``{"N": int, "a": {k: [re, im]}}``; ``N`` must be a JSON
+        integer, never a float, boolean or string coerced to one."""
+        size = data["N"]
+        if type(size) is not int:
+            raise ConjtoepError(f"N must be an integer, got {size!r}")
+        return cls(size, {int(k): complex(re, im) for k, (re, im) in data["a"].items()})
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteToeplitz":
@@ -124,6 +126,6 @@ def general_symmetry(t, conj: Conjugation) -> tuple[bool, float]:
     n = t.shape[0]
     _require_finite(conj, n - 1)
     u = canonical_factorization(conj)
-    residual = float(np.linalg.norm(transpose_defect(u, t, slice(n))))
+    residual = float(np.linalg.norm(transpose_defect(u, t @ u, t)))
     scale = max(1.0, float(np.linalg.norm(t)))
     return residual <= _ROUNDOFF_REL * scale * n, residual

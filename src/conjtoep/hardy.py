@@ -31,6 +31,7 @@ __all__ = [
     "ShiftOperator",
     "toeplitz_gather",
     "toeplitz_matrix",
+    "toeplitz_apply",
     "is_toeplitz",
     "s_toeplitz_residual",
 ]
@@ -165,6 +166,26 @@ def toeplitz_matrix(phi: LaurentSymbol, degree: int) -> TruncatedOperator:
     if degree < 0:
         raise ConjtoepError("degree must be nonnegative")
     return toeplitz_gather(phi.coefficients, np.arange(degree + 1))
+
+
+def toeplitz_apply(phi: LaurentSymbol, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """``T x``, or ``T^T x``, for the Toeplitz truncation at degree ``len(x) - 1``.
+
+    Computed by one shifted slice per coefficient of the symbol, since
+    ``(T x)[q]`` sums ``phi_s x[q - s]`` over the support; ``T`` is never
+    formed.
+    """
+    out = np.zeros(x.shape, dtype=np.complex128)
+    n = x.shape[0]
+    for s, v in phi.coefficients.items():
+        s = -s if transpose else s
+        if abs(s) >= n:
+            continue
+        if s >= 0:
+            out[s:] += v * x[: n - s]
+        else:
+            out[: n + s] += v * x[-s:]
+    return out
 
 
 def is_toeplitz(t, w: Window, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[bool, float]:

@@ -48,7 +48,8 @@ from .core import (
     Window,
     decide,
 )
-from .hardy import LaurentSymbol, is_toeplitz, toeplitz_matrix
+from .composition import DENSE_WINDOW
+from .hardy import LaurentSymbol, is_toeplitz, toeplitz_apply, toeplitz_matrix
 
 __all__ = [
     "PASS",
@@ -173,13 +174,20 @@ class SymmetryReport:
 
 @dataclass(frozen=True)
 class _Plan:
-    """Shared working data for one (symbol, conjugation) instance."""
+    """Shared working data for one (symbol, conjugation) instance.
+
+    ``a_work`` holds the leading ``window + band + 3`` columns of the
+    coefficient matrix at ``work_degree`` (all rows) and ``t_head`` the
+    Toeplitz truncation on those column indices; products with the whole
+    ``T`` go through :func:`conjtoep.hardy.toeplitz_apply`, so every array
+    a plan forms has at most that many columns.
+    """
 
     phi: LaurentSymbol
     threshold: float
     window: int
     a_work: np.ndarray
-    t_work: np.ndarray
+    t_head: np.ndarray
     work_degree: int
     tail_bound: float
     diagonal: np.ndarray | None = None
@@ -188,7 +196,9 @@ class _Plan:
     def defect(self) -> np.ndarray:
         """``U^H T U - T^T`` on ``0..window + 1``: two criteria read its
         ``0..window`` block, the S-filter its steps into index ``window + 1``."""
-        return transpose_defect(self.a_work, self.t_work, slice(self.window + 2))
+        f = self.a_work[:, : self.window + 2]
+        head = self.t_head[: self.window + 2, : self.window + 2]
+        return transpose_defect(f, toeplitz_apply(self.phi, f), head)
 
     @cached_property
     def xy(self) -> tuple[np.ndarray, np.ndarray]:
@@ -213,16 +223,13 @@ def _make_plan(phi: LaurentSymbol, conj: Conjugation, config: CheckConfig | None
     elif band_c is not None:
         window = n - reach
     else:
-        window = min(8, n - band - 2)
+        window = min(DENSE_WINDOW, n - band - 2)
     if window < band or window < 0:
         raise ConjtoepError("degree too small for the requested band")
-    if band_c is not None:
-        a_work, work_degree, tail = conj.coeff, n, 0.0
-    else:
-        cap = threshold / (2.0 * _TAIL_FACTOR * (window + 1) * scale)
-        a_work, work_degree, tail = working_coefficients(
-            conj, cols=window + band + 2, margin=band + 1, cap=cap
-        )
+    cap = threshold / (2.0 * _TAIL_FACTOR * (window + 1) * scale)
+    a_work, work_degree, tail = working_coefficients(
+        conj, cols=window + band + 2, margin=band + 1, cap=cap
+    )
     if window + reach > work_degree:
         raise ExactnessError("exactness window violated")
 
@@ -231,25 +238,24 @@ def _make_plan(phi: LaurentSymbol, conj: Conjugation, config: CheckConfig | None
         threshold=threshold,
         window=window,
         a_work=a_work,
-        t_work=toeplitz_matrix(phi, work_degree).matrix,
+        t_head=toeplitz_matrix(phi, a_work.shape[1] - 1).matrix,
         work_degree=work_degree,
         tail_bound=_TAIL_FACTOR * scale * tail * (window + 1),
         diagonal=conj.entries if band_c == 0 else None,
     )
 
 
-def definition_residual(a_work: np.ndarray, t_work: np.ndarray, rows, cols) -> float:
-    """Frobenius norm of ``(C T* C - T)`` on an index set.
+def definition_residual(f: np.ndarray, phi: LaurentSymbol, t_block: np.ndarray) -> float:
+    """Frobenius norm of ``(C T* C - T)`` on the indices of the columns
+    ``f = A[:, idx]``, with ``t_block = T[idx, idx]``.
 
     ``C T* C`` is assembled columnwise as ``A conj(T^H (A e_p))`` on the
     rows of the set only, in one product; ``T^T conj(A e_p)`` is the
-    conjugate of ``T^H (A e_p)``, so ``T`` is never conjugated whole.
+    conjugate of ``T^H (A e_p)``, taken by shifted slices, and the rows
+    ``A[idx, :]`` are ``f^T``, since ``A`` is symmetric.
     """
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    image = t_work.T @ np.conj(a_work[:, cols])
-    diff = a_work[rows] @ image - t_work[np.ix_(rows, cols)]
-    return float(np.linalg.norm(diff))
+    image = toeplitz_apply(phi, np.conj(f), transpose=True)
+    return float(np.linalg.norm(f.T @ image - t_block))
 
 
 def diagonal_definition_defect(diag: np.ndarray, coefficients: dict, codes: np.ndarray) -> np.ndarray:
@@ -279,19 +285,20 @@ def diagonal_definition_defect(diag: np.ndarray, coefficients: dict, codes: np.n
     return diag[rows] * (minus[which] * np.conj(diag[cols[which, rows]])) - plus[which]
 
 
-def transpose_defect(a_work: np.ndarray, t_work: np.ndarray, idx) -> np.ndarray:
-    """``f^H T f - T[idx, idx]^T`` with ``f = A[:, idx]``: entry ``(p, q)``
-    compares ``<T f_q, f_p>`` in the basis ``f_n = U z^n`` with the
-    transposed Toeplitz entry.  ``idx`` is a slice or an index array."""
-    f = a_work[:, idx]
-    return f.conj().T @ (t_work @ f) - t_work[idx][:, idx].T
+def transpose_defect(f: np.ndarray, tf: np.ndarray, t_block: np.ndarray) -> np.ndarray:
+    """``f^H (T f) - T[idx, idx]^T`` with ``f = A[:, idx]``, the product
+    ``tf = T f`` and ``t_block = T[idx, idx]``: entry ``(p, q)`` compares
+    ``<T f_q, f_p>`` in the basis ``f_n = U z^n`` with the transposed
+    Toeplitz entry."""
+    return f.conj().T @ tf - t_block.T
 
 
 def _definition(plan: _Plan) -> CriterionResult:
-    idx = np.arange(plan.window + 1)
+    w = plan.window
     if plan.diagonal is None:
-        residual = definition_residual(plan.a_work, plan.t_work, idx, idx)
+        residual = definition_residual(plan.a_work[:, : w + 1], plan.phi, plan.t_head[: w + 1, : w + 1])
     else:
+        idx = np.arange(w + 1)
         defect = diagonal_definition_defect(plan.diagonal[idx], plan.phi.coefficients, idx)
         residual = float(np.linalg.norm(defect))
     verdict = decide(residual, plan.threshold, plan.tail_bound)
@@ -359,7 +366,7 @@ def coefficient_defect(a: np.ndarray, t: np.ndarray, jk: int, rows: int) -> floa
 
 def _coefficient_equations(plan: _Plan) -> CriterionResult:
     w = plan.window
-    residual = coefficient_defect(plan.a_work, plan.t_work, w, w + plan.phi.band + 1)
+    residual = coefficient_defect(plan.a_work, plan.t_head, w, w + plan.phi.band + 1)
     verdict = decide(residual, plan.threshold, 0.0)
     return CriterionResult(verdict, residual, 0.0)
 

@@ -237,6 +237,16 @@ def tilde_mismatch(a, t, positions):
     return float(np.max(np.abs(gram - t[np.ix_(positions, positions)].T)))
 
 
+def dense_definition_residual(a, t, rows, cols):
+    """Frobenius norm of ``C T* C - T`` on an index set from the whole
+    matrices: ``A[rows] T^T conj(A[:, cols])``, the way the definition
+    criterion was computed before it read only leading columns."""
+    rows = np.asarray(rows)
+    cols = np.asarray(cols)
+    image = t.T @ np.conj(a[:, cols])
+    return float(np.linalg.norm(a[rows] @ image - t[np.ix_(rows, cols)]))
+
+
 def s_toeplitz_filter(a, t, window):
     """Frobenius norm of ``S^H T S - T`` on ``0..window`` with the columns of
     ``S = C M_z C`` built in the canonical basis (apply C, shift by one

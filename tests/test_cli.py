@@ -256,6 +256,19 @@ def test_check_finite(capsys):
     assert code == EXIT_FAIL
 
 
+def test_check_finite_non_integer_size_exits_65(capsys):
+    for size in ("2.7", "true", '"3"'):
+        code = main([
+            "check-finite", "--symbol", '{"N": %s, "a": {"1": [1, 0]}}' % size,
+            "--conj", '{"family": "toeplitz"}',
+        ])
+        assert code == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "N must be an integer" in captured.err
+
+
 def test_scan_trigpoly_small(capsys):
     code, payload = run(
         capsys,

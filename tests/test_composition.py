@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import conjtoep.composition as composition
 from conjtoep.composition import (
     TAIL_RESOLUTION,
     CompositionParams,
@@ -89,6 +90,37 @@ def test_index_range_guard():
     p = CompositionParams(0.5)
     with pytest.raises(ConjtoepError, match="index out of supported range"):
         u_entry(p, 600, 500)
+
+
+def test_narrow_blocks_are_the_full_matrix_columns():
+    # the recurrence stopped after a few columns gives those columns bit for
+    # bit, on the cached path (19 columns) and on the wide path
+    for alpha in (0.3, 0.6 * np.exp(2j), -0.85 + 0.1j, 0.97j):
+        for degree in (0, 7, 40, 300):
+            full = composition_matrix(CompositionParams(alpha), degree)
+            for cols in (1, 6, 19, 26, degree + 4):
+                block = composition_matrix(CompositionParams(alpha), degree, cols)
+                assert np.array_equal(block, full[:, :cols])
+            cached = composition._cached_composition_matrix(complex(alpha), degree)
+            assert cached.shape == (degree + 1, min(19, degree + 1)) and not cached.flags.writeable
+            assert np.array_equal(cached, full[:, :19])
+            assert np.array_equal(composition._leading_columns(complex(alpha), degree, 24), full[:, :24])
+    assert composition._cached_composition_matrix.cache_info().maxsize == 64
+
+
+def test_padded_tails_are_measured_once_per_degree(monkeypatch):
+    # a second decision on the same conjugation walks the same padded
+    # degrees from memoised tails and ends on the same block and tail
+    composition._padded_tail.cache_clear()
+    conj = materialize(Composition(0.83 - 0.2j), 24)
+    calls = []
+    real = composition.column_tails
+    monkeypatch.setattr(composition, "column_tails", lambda *args: calls.append(args[1:]) or real(*args))
+    first = working_coefficients(conj, cols=11, margin=2, cap=1e-12)
+    measured = len(calls)
+    again = working_coefficients(conj, cols=11, margin=2, cap=1e-12)
+    assert measured >= 2 and len(calls) == measured
+    assert again[1:] == first[1:] and np.array_equal(again[0], first[0])
 
 
 def test_row_mass_converges_to_one_with_geometric_remainder():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conjtoep.core import ConjtoepError, Window
-from conjtoep.composition import TAIL_RESOLUTION
+from conjtoep.composition import TAIL_RESOLUTION, CompositionParams, composition_matrix
 from conjtoep.conjugation import (
     AlphaDiagonal,
     BasisError,
@@ -295,7 +295,10 @@ def test_working_coefficients_padding():
     matrix, degree, tail = working_coefficients(c, cols=10, margin=2, cap=1e-9)
     assert degree > 16
     assert tail <= max(1e-9, TAIL_RESOLUTION)
-    np.testing.assert_allclose(matrix[:17, :17], c.coeff, atol=1e-13)
+    # the block is the padded matrix's leading columns, which extend c
+    padded = composition_matrix(CompositionParams(0.5), degree)
+    np.testing.assert_array_equal(matrix, padded[:, :11])
+    np.testing.assert_allclose(padded[:17, :17], c.coeff, atol=1e-13)
     # banded families come back untouched
     cb = materialize(ThetaXi(0.2, 0.1), 16)
     matrix, degree, tail = working_coefficients(cb, cols=10, margin=2, cap=1e-9)

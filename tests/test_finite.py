@@ -143,6 +143,14 @@ def test_finite_json_round_trip():
     np.testing.assert_array_equal(again.matrix(), t.matrix())
 
 
+def test_finite_json_refuses_a_size_that_is_not_an_integer():
+    # a float, boolean or string N was once truncated or coerced silently
+    for size in (2.7, 2.0, True, "3", None):
+        with pytest.raises(ConjtoepError, match="N must be an integer"):
+            FiniteToeplitz.from_json_dict({"N": size, "a": {"1": [1, 0]}})
+    assert FiniteToeplitz.from_json_dict({"N": 2, "a": {"1": [1, 0]}}).size_minus_one == 2
+
+
 def test_diagonal_index_validation():
     with pytest.raises(ConjtoepError):
         FiniteToeplitz(2, {5: 1})

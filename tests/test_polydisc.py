@@ -18,9 +18,9 @@ from conjtoep.polydisc import (
     poly_conjugation,
     poly_toeplitz,
 )
-from conjtoep.symmetry import FAIL, PASS, CheckConfig, _definition, _make_plan, check_definition, definition_residual
+from conjtoep.symmetry import FAIL, PASS, CheckConfig, _definition, _make_plan, check_definition
 
-from oracles import doubly_commuting_dense, kron_poly_toeplitz, tilde_mismatch
+from oracles import dense_definition_residual, doubly_commuting_dense, kron_poly_toeplitz, tilde_mismatch
 
 
 def test_flat_enumeration_round_trip():
@@ -243,7 +243,7 @@ def test_structured_polydisc_checks_match_dense_oracles():
             t = poly_toeplitz(phi, box).matrix
             positions = box.window_positions(res.window)
             scale = max(1.0, phi.l1_norm())
-            want = definition_residual(a, t, positions, positions)
+            want = dense_definition_residual(a, t, positions, positions)
             assert abs(res.residual - want) <= 1e-13 * scale
             assert abs(res.tilde_mismatch - tilde_mismatch(a, t, positions)) <= 1e-13 * scale
             threshold = DEFAULT_TOLERANCE.threshold(scale)
@@ -276,7 +276,9 @@ def test_one_variable_diagonal_definition_matches_dense_product():
         phi = LaurentSymbol(coeffs)
         plan = _make_plan(phi, materialize(spec, degree), CheckConfig(degree=degree))
         idx = np.arange(plan.window + 1)
-        want = definition_residual(plan.a_work, plan.t_work, idx, idx)
+        a = materialize(spec, plan.work_degree).coeff
+        t = toeplitz_matrix(phi, plan.work_degree).matrix
+        want = dense_definition_residual(a, t, idx, idx)
         got = _definition(plan)
         assert abs(got.residual - want) <= 1e-13 * max(1.0, phi.l1_norm())
         assert got.verdict == (PASS if want <= plan.threshold else FAIL)

@@ -1,12 +1,15 @@
 import cmath
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import conjtoep.composition as composition
 import conjtoep.conjugation as conjugation
+import conjtoep.hardy as hardy
 import conjtoep.symmetry as symmetry
+from conjtoep.composition import CompositionParams, composition_matrix
 from conjtoep.conjugation import (
     AlphaDiagonal,
     BasisSpec,
@@ -47,6 +50,7 @@ from conjtoep.symmetry import (
 
 from oracles import (
     coefficient_equations_residual,
+    dense_definition_residual,
     finite_asymmetry_residual,
     general_symmetry_residual,
     s_toeplitz_filter,
@@ -284,7 +288,11 @@ def test_filter_reads_the_canonical_basis_verdict():
         phi, conj, window, past = filter_instance(rng, kind)
         config = CheckConfig(degree=conj.degree, window=window)
         plan = _make_plan(phi, conj, config)
-        oracle = s_toeplitz_filter(plan.a_work, plan.t_work, plan.window)
+        if kind == "composition":
+            a = composition_matrix(CompositionParams(conj.family.alpha), plan.work_degree)
+        else:
+            a = conj.coeff
+        oracle = s_toeplitz_filter(a, toeplitz_matrix(phi, plan.work_degree).matrix, plan.window)
         result = check_s_toeplitz_necessary(phi, conj, config)
         assert result.verdict == decide(oracle, plan.threshold, plan.tail_bound), (phi, conj.label, window)
         if kind != "composition":
@@ -306,6 +314,95 @@ def test_no_plan_builds_the_shift(monkeypatch):
     for kind in ("composition", "basis"):
         phi, conj, _, _ = filter_instance(rng, kind)
         assert "s_toeplitz" in run_all(phi, conj).verdicts
+
+
+def test_wide_user_window_matches_the_dense_oracle():
+    # a user window past the cached 19 columns builds its own block; the
+    # verdicts are those of the products with the whole padded matrices
+    rng = np.random.default_rng(12)
+    verdicts = set()
+    for trial in range(8):
+        band = int(rng.integers(0, 4))
+        window = int(rng.integers(17, 20))
+        alpha = complex(rng.uniform(0.2, 0.8) * cmath.exp(1j * rng.uniform(0, 2 * np.pi)))
+        if trial % 2:
+            phi = LaurentSymbol({0: complex(*rng.standard_normal(2))})
+        else:
+            phi = LaurentSymbol({m: complex(*rng.standard_normal(2)) for m in range(-band, band + 1)})
+        conj = materialize(Composition(alpha), 40)
+        config = CheckConfig(degree=40, window=window)
+        plan = _make_plan(phi, conj, config)
+        assert plan.a_work.shape[1] == window + phi.band + 3 > 19
+        a = composition_matrix(CompositionParams(alpha), plan.work_degree)
+        t = toeplitz_matrix(phi, plan.work_degree).matrix
+        idx = np.arange(window + 1)
+        f = a[:, idx]
+        want = {
+            "definition": dense_definition_residual(a, t, idx, idx),
+            "transpose_basis": float(np.linalg.norm(f.conj().T @ t @ f - t[np.ix_(idx, idx)].T)),
+        }
+        report = run_all(phi, conj, config)
+        scale = max(1.0, phi.l1_norm())
+        for name, residual in want.items():
+            assert abs(report.residuals[name] - residual) <= 1e-12 * scale
+            assert report.verdicts[name] == decide(residual, plan.threshold, plan.tail_bound)
+            verdicts.add(report.verdicts[name])
+    assert verdicts == {PASS, FAIL}
+
+
+def test_dense_plan_memory_stays_narrow():
+    # at |alpha| = 0.97 the plan pads to degree 1912, where one square
+    # complex array takes 58 MB
+    composition._cached_composition_matrix.cache_clear()
+    composition._padded_tail.cache_clear()
+    conj = materialize(Composition(0.97), 32)
+    phi = LaurentSymbol({-1: 0.3, 0: 1.0, 1: 0.2j})
+    tracemalloc.start()
+    try:
+        report = run_all(phi, conj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.work_degree == 1912
+    assert peak < 8 * 2**20
+
+
+def test_plans_gather_only_the_toeplitz_head(monkeypatch):
+    # T is gathered on the leading window + band + 3 indices only, and no
+    # plan asks for the whole padded composition matrix
+    gather, build = hardy.toeplitz_gather, composition.composition_matrix
+    limit = {}
+
+    def narrow_gather(coefficients, codes):
+        assert codes.size <= limit["modes"], codes.size
+        return gather(coefficients, codes)
+
+    def narrow_build(params, degree, cols=None):
+        assert cols is not None
+        return build(params, degree, cols)
+
+    composition._cached_composition_matrix.cache_clear()
+    composition._padded_tail.cache_clear()
+    rng = np.random.default_rng(5)
+    columns = np.zeros((41, 3), dtype=complex)
+    columns[:3] = random_unitary(3, rng)
+    cases = [
+        (Composition(0.97), None, {-1: 0.5, 0: 1.0, 1: 0.25}),
+        (Composition(0.6j), 16, {-3: 1.0, 2: 0.5j}),
+        (FromBasis(BasisSpec(columns, 40)), 12, {-2: 1.0, 0: 0.3, 1: 1j}),
+        (ThetaXi(0.4, 1.1), 10, {-1: 1.0, 1: 1.0}),
+    ]
+    for spec, window, coeffs in cases:
+        phi = LaurentSymbol(coeffs)
+        conj = materialize(spec, 40)
+        limit["modes"] = min(8 if window is None else window, 40 - phi.band - 2) + phi.band + 3 + 2
+        with monkeypatch.context() as patch:
+            patch.setattr(hardy, "toeplitz_gather", narrow_gather)
+            patch.setattr(composition, "composition_matrix", narrow_build)
+            report = run_all(phi, conj, CheckConfig(degree=40, window=window))
+        assert set(report.criterion_verdicts().values()) <= {PASS, FAIL}
+        if conj.band == 0:
+            assert "coeff" not in conj.__dict__
 
 
 def test_compression_fails_for_generic_basis_shift():
