@@ -4,27 +4,26 @@ For a fixed ``alpha`` in the punctured open disc, the unitary weighted
 composition operator with weight ``sqrt(1-|alpha|^2)/(1-z*conj(alpha))`` and
 symbol ``(conj(alpha)/alpha)(alpha-z)/(1-conj(alpha)z)`` composed with
 coordinatewise conjugation is a conjugation whose coefficient matrix is dense
-with geometrically decaying entries.  This module provides two independent
-routes to those entries:
-
-- ``u_entry``: the closed-form finite sum with exact integer binomials,
-- ``composition_matrix``: a stable multiply-by-the-Blaschke-factor column
-  recurrence used for bulk materialization (the closed form suffers
-  catastrophic cancellation at extreme indices; the recurrence does not).
-
-A third, power-series route serves as the test suite's oracle.
+with geometrically decaying entries.  Two independent routes give them: the
+closed-form finite sum ``u_entry`` with exact integer binomials, and the
+stable column recurrence ``composition_matrix`` by the Blaschke factor (the
+closed form cancels catastrophically at extreme indices; the recurrence does
+not).  A power-series route serves as the test suite's oracle.  Dense checks
+read the recurrence at the first degree whose FFT-certified tail is small.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .core import ConjtoepError, Tolerance, DEFAULT_TOLERANCE, decide
-from .hardy import LaurentSymbol, toeplitz_apply, toeplitz_matrix
+from .hardy import LaurentSymbol
 
 __all__ = [
     "CompositionParams",
@@ -119,29 +118,23 @@ def composition_matrix(params: CompositionParams, degree: int, cols: int | None 
     return out
 
 
-# Every squared entry of a column carries round-off, so a column mass near 1
-# is uncertain in its last digits and a tail ``sqrt(1 - mass)`` cannot
-# honestly resolve below this.
+# A column mass near 1 is uncertain in its last digits, so a tail
+# ``sqrt(1 - mass)`` cannot honestly resolve below this.
 TAIL_RESOLUTION = 3.2e-7
 
 
 def column_tails(matrix: np.ndarray, level: int, cols: int) -> np.ndarray:
-    """Dropped-mass bounds ``sqrt(1 - ||column restricted to 0..level||^2)``.
-
-    Valid whenever the columns of the untruncated matrix are unit vectors,
-    which holds for any conjugation coefficient matrix; gives an l2 bound on
-    everything a truncation at ``level`` discards.  Masses are accumulated in
-    extended precision, where the platform has it, so each comes back
-    correctly rounded, and the result is floored at :data:`TAIL_RESOLUTION`
-    rather than ever claiming a smaller tail.
-    """
+    """Dropped-mass bounds ``sqrt(1 - ||column restricted to 0..level||^2)``:
+    squared, the unitarity defect a truncation at ``level`` inflicts on the
+    unit columns of a conjugation.  Masses are summed in extended precision,
+    where the platform has it, and floored at :data:`TAIL_RESOLUTION`."""
     squares = np.abs(matrix[: level + 1, : cols + 1]) ** 2
     mass = np.sum(squares, axis=0, dtype=np.longdouble).astype(np.float64)
     return np.sqrt(np.maximum(1.0 - mass, TAIL_RESOLUTION**2))
 
 
-# Largest padded degree the tail search tries; past it a dense check keeps
-# the tail it measured and may come back inconclusive.
+# Largest padded degree of a dense plan; past it a check keeps the tail
+# there and may come back inconclusive.
 PAD_LIMIT = 4096
 
 # Widest default window of a dense plan.  Its band is at most its window, so
@@ -150,8 +143,12 @@ PAD_LIMIT = 4096
 DENSE_WINDOW = 8
 _CACHED_COLUMNS = 2 * DENSE_WINDOW + 3
 
+_U, _U_EXT = (float(np.finfo(t).eps) / 2 for t in (np.float64, np.longdouble))
+# More samples than this leave the Cauchy terms of the tails unresolved.
+_MAX_SAMPLES = 1 << 14
 
-@lru_cache(maxsize=64)
+
+@lru_cache(maxsize=16)
 def _cached_composition_matrix(alpha: complex, degree: int) -> np.ndarray:
     """Shared read-only leading ``_CACHED_COLUMNS`` columns at a padded degree."""
     matrix = composition_matrix(CompositionParams(alpha), degree, _CACHED_COLUMNS)
@@ -159,67 +156,91 @@ def _cached_composition_matrix(alpha: complex, degree: int) -> np.ndarray:
     return matrix
 
 
+@lru_cache(maxsize=4)
+def _wide_composition_matrix(alpha: complex, degree: int, count: int) -> np.ndarray:
+    """A read-only block wider than the cached one (a window above :data:`DENSE_WINDOW`)."""
+    matrix = composition_matrix(CompositionParams(alpha), degree, count)
+    matrix.setflags(write=False)
+    return matrix
+
+
 def _leading_columns(alpha: complex, degree: int, count: int) -> np.ndarray:
-    """The leading ``count`` columns at ``degree``: a view of the cached block
-    when it is wide enough, else built for this request alone."""
+    """The leading ``count`` columns at ``degree``."""
     if count <= _CACHED_COLUMNS:
         return _cached_composition_matrix(alpha, degree)[:, :count]
-    return composition_matrix(CompositionParams(alpha), degree, count)
+    return _wide_composition_matrix(alpha, degree, count)
 
 
-@lru_cache(maxsize=1024)
-def _padded_tail(alpha: complex, degree: int, margin: int, cols: int) -> float:
-    """Largest of :func:`column_tails` over columns ``0..cols`` at level
-    ``degree - margin``; every decision on one conjugation walks the same
-    padded degrees, so each tail is measured once."""
-    block = _leading_columns(alpha, degree, cols + 1)
-    return float(np.max(column_tails(block, degree - margin, cols)))
+@lru_cache(maxsize=64)
+def _tails(alpha: complex, count: int) -> np.ndarray:
+    """Certified l2 tails of the leading ``count`` columns: entry ``l`` bounds
+    ``sqrt(sum_{j > l} |A[j, k]|^2)`` for every ``k < count`` (the last entry,
+    every deeper level too).  Column ``k`` is the Taylor series of ``psi b^k``,
+    at most ``M = beta/(1 - |a|R) ((R - |a|)/(1 - |a|R))^k`` on ``|z| = R =
+    |a|^(-1/2)``, so ``|A[j, k]| <= M R^-j``.  The FFT of its samples on ``m``
+    roots of unity gives rows ``0..m-1`` up to the aliasing ``sum_p A[j + pm,
+    k]`` (Henrici, SIAM Rev. 21, 1979); a tail is their suffix sum plus the
+    Cauchy bounds on the aliasing and on the rows past ``m``, which the power
+    of two ``m`` brings to the unit round-off, plus round-off."""
+    r = abs(alpha)
+    root = math.sqrt(r)
+    # log M, with (R - |a|)/(1 - |a|R) = (1 + |a|^(1/2) + |a|)/|a|^(1/2)
+    log_bound = math.log(math.sqrt(1 - r * r) / (1 - root)) + (count - 1) * math.log((1 + root + r) / root)
+    need = (log_bound - math.log(_U * math.sqrt(1 - r))) / -math.log(root)
+    m = min(_MAX_SAMPLES, max(64, 1 << math.ceil(math.log2(need))))
+    cauchy = math.exp(log_bound + m * math.log(root)) * (1 + 1 / (1 - root**m)) / math.sqrt(1 - r)
+    # the FFT's error (Higham, Accuracy and Stability, Thm 24.2), and per factor
+    # 16 units of arithmetic and 32 of node error over 1 - |a| in the samples
+    rounding = _U * (1 + 7 * math.log2(m)) + 48 * count * _U_EXT / (1 - r)
+    z = np.exp(1j * ((8 * np.arctan(np.longdouble(1)) / m) * np.arange(m)))
+    a = np.clongdouble(alpha)
+    d = 1 - a.conjugate() * z
+    b, s = (a.conjugate() / a) * (a - z) / d, np.sqrt(1 - np.longdouble(r) ** 2) / d
+    squares, norm = np.zeros(m), 0.0
+    for _ in range(count):
+        c = np.fft.fft(s.astype(np.complex128)) / m
+        suffix = np.cumsum(np.abs(c[::-1]) ** 2)[::-1]
+        norm = max(norm, math.sqrt(suffix[0]))
+        np.maximum(squares[:-1], suffix[1:], out=squares[:-1])
+        s *= b
+    tails = np.sqrt(squares * (1 + m * _U)) + cauchy + norm * rounding
+    tails.setflags(write=False)
+    return tails
 
 
 def _working_degree(params: CompositionParams, cols: int, margin: int, cap: float, start: int):
-    """Smallest padded degree whose measured tails meet ``cap`` (or :data:`PAD_LIMIT`),
-    with the leading ``cols + 1`` columns there.
-
-    The cap is floored at the tail resolution limit; asking for less would
-    spin to the degree cap without gaining certainty.
-    """
-    target = max(cap, TAIL_RESOLUTION)
-    degree = max(start, cols + margin + 8)
-    while True:
-        tail = _padded_tail(params.alpha, degree, margin, cols)
-        if tail <= target or degree >= PAD_LIMIT:
-            return _leading_columns(params.alpha, degree, cols + 1), degree, tail
-        degree = min(PAD_LIMIT, int(degree * 1.6) + 8)
+    """The first degree from ``start`` whose tail at level ``degree - margin``
+    meets ``cap`` (else :data:`PAD_LIMIT`), bisected since tails never grow,
+    with the leading ``cols + 1`` columns there and that tail."""
+    tails = _tails(params.alpha, cols + 1)
+    first = max(start, cols + margin) - margin
+    last = max(PAD_LIMIT - margin, first)
+    met = bisect_left(tails, -cap, key=operator.neg)
+    level = min(max(first, met), last) if met < tails.size else last
+    degree = level + margin
+    return _leading_columns(params.alpha, degree, cols + 1), degree, float(tails[min(level, tails.size - 1)])
 
 
 def check_w_symmetry_conditions(
-    phi: LaurentSymbol,
-    params: CompositionParams,
-    n_max: int,
-    tol: Tolerance = DEFAULT_TOLERANCE,
+    phi: LaurentSymbol, params: CompositionParams, n_max: int, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> tuple[str, float]:
     """Displayed pairing conditions for symmetry with the composition conjugation.
 
-    Evaluates ``phi_n = <T_phi W z^n, W 1>`` and ``phi_{-n} = <T_phi W 1, W z^n>``
-    for ``n = 1..n_max`` using the u-entries, padding the internal truncation
-    until the measured tail is negligible: the first row and column of the
-    transpose-basis defect, read off the padded matrix's leading columns.
-    Returns ``(verdict, residual)``.
+    ``phi_n = <T_phi W z^n, W 1>`` and ``phi_{-n} = <T_phi W 1, W z^n>``,
+    ``n = 1..n_max``, are the first row and column of ``U^H T U - T^T`` on the
+    plan of window ``n_max``; their largest defect is decided with the plan's
+    threshold and tail.  Returns ``(verdict, residual)``.
     """
-    from .symmetry import transpose_defect
+    from .conjugation import Composition, materialize
+    from .symmetry import CheckConfig, _make_plan
 
     if n_max < phi.band:
         raise ConjtoepError("n_max must cover the symbol band")
-    scale = max(1.0, phi.l1_norm())
-    threshold = tol.threshold(scale)
-    cap = threshold / (16.0 * scale * max(1, n_max + 1))
-    block, _, tail = _working_degree(
-        params, cols=n_max + phi.band + 2, margin=phi.band + 1, cap=cap, start=48
-    )
-    f = block[:, : n_max + 1]
-    defect = transpose_defect(f, toeplitz_apply(phi, f), toeplitz_matrix(phi, n_max).matrix)
-    residual = float(np.max(np.abs(np.r_[defect[0, 1:], defect[1:, 0]]), initial=0.0))
-    return decide(residual, threshold, 8.0 * scale * tail), residual
+    conj = materialize(Composition(params.alpha), n_max)
+    plan = _make_plan(phi, conj, CheckConfig(degree=n_max, window=n_max, tolerance=tol))
+    d = plan.defect
+    residual = float(np.max(np.abs(np.r_[d[0, 1 : n_max + 1], d[1 : n_max + 1, 0]]), initial=0.0))
+    return decide(residual, plan.threshold, plan.tail_bound), residual
 
 
 @dataclass(frozen=True)
@@ -250,10 +271,7 @@ class ScanReport:
 
 
 def scan_trigpoly_theorem(
-    params: CompositionParams,
-    grid: TrigpolyGrid,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-    degree: int = 24,
+    params: CompositionParams, grid: TrigpolyGrid, tol: Tolerance = DEFAULT_TOLERANCE, degree: int = 24
 ) -> ScanReport:
     """Sweep band-1 symbols against the full criterion suite.
 

@@ -9,8 +9,9 @@ the canonical factorization ``C = U J`` (J = coordinatewise conjugation).
 Each conjugation also carries its ``band`` so downstream residual checks can
 compute exactness windows instead of assuming them: a banded matrix (all
 coefficients vanish beyond ``|m - n| > band``) gives windows by arithmetic,
-and a dense one (``band is None``) gets Parseval tail bounds measured from
-its materialized columns.  A band-0 conjugation is stored as its diagonal.
+and a dense one (``band is None``) gets tail bounds: certified ones for the
+composition family, else the dropped mass of its columns.  A band-0
+conjugation is stored as its diagonal.
 """
 
 from __future__ import annotations
@@ -287,10 +288,10 @@ def phase_diagonal(indices: np.ndarray, theta, xi) -> np.ndarray:
 def materialize(spec, degree: int) -> Conjugation:
     """Materialize a family at a truncation degree.
 
-    CanonicalJ is the identity; the phase families are diagonal (all three
-    keep only their diagonal);
-    Composition is the dense weighted-composition matrix with geometric
-    decay; FromBasis goes through ``conjugation_from_fixed_basis``.
+    CanonicalJ is the identity and the phase families are diagonal (all
+    three keep only their diagonal); Composition is the dense
+    weighted-composition matrix; FromBasis goes through
+    ``conjugation_from_fixed_basis``.
     """
     if degree < 0:
         raise ConjtoepError("degree must be nonnegative")
@@ -430,11 +431,7 @@ def shift_from_conjugation(c: Conjugation, degree: int | None = None) -> ShiftOp
     return shift
 
 
-def intertwine_lambda(
-    c: Conjugation,
-    basis: BasisSpec,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> complex | None:
+def intertwine_lambda(c: Conjugation, basis: BasisSpec, tol: Tolerance = DEFAULT_TOLERANCE) -> complex | None:
     """Recover the unimodular factor linking C to the shift of a basis.
 
     The basis defines a shift ``S f_n = f_{n+1}`` and a unitary
@@ -467,18 +464,14 @@ def intertwine_lambda(
     return lam
 
 
-def working_coefficients(
-    c: Conjugation, cols: int, margin: int, cap: float
-) -> tuple[np.ndarray, int, float]:
-    """Leading ``cols + 1`` columns of the coefficient matrix, padded until
-    their measured tails meet ``cap``.
+def working_coefficients(c: Conjugation, cols: int, margin: int, cap: float) -> tuple[np.ndarray, int, float]:
+    """``(block, degree, tail)``: the leading ``cols + 1`` columns, all rows,
+    at a degree whose tail below row ``degree - margin`` meets ``cap``.
 
-    Banded conjugations (``band`` not None) are already exact and come back
-    at their own degree with zero tail.  Dense families are re-materialized
-    at growing degrees, one narrow block each, until the Parseval tail over
-    the needed columns drops below ``cap`` (or the degree ``PAD_LIMIT`` is
-    reached, in which case the honest tail is returned for the caller's
-    verdict logic).  Every block has all rows of its degree.
+    A banded conjugation is exact at its own degree, with zero tail.  A
+    composition conjugation pads to the first such degree, or to
+    ``PAD_LIMIT`` with the honest tail there for the caller's verdict
+    logic; another dense matrix keeps its degree and dropped-mass tails.
     """
     if c.band is None and isinstance(c.family, Composition):
         params = CompositionParams(c.family.alpha)

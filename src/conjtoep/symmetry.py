@@ -21,11 +21,10 @@ steps of ``G = U^H T U`` into one index past the window, since
 ``S^H T S - T = U (Z^H G Z - G) U^H``; it can pass for symbols that are not
 symmetric and is never counted toward criterion agreement.
 
-Verdicts are tail-aware.  Banded conjugations give exact finite sums.  Dense
-conjugations are re-materialized at an internally padded degree until the
-Parseval tail of the dropped columns is negligible at the requested
-tolerance; when the padding cap is hit, verdicts inside the remaining
-ambiguity band degrade to ``inconclusive`` rather than guessing.
+Verdicts are tail-aware.  Banded conjugations give exact finite sums.  A
+composition conjugation is read at the first padded degree whose certified
+tail is negligible at the tolerance; at ``PAD_LIMIT``, verdicts inside the
+remaining ambiguity band degrade to ``inconclusive`` rather than guessing.
 """
 
 from __future__ import annotations
@@ -176,11 +175,11 @@ class SymmetryReport:
 class _Plan:
     """Shared working data for one (symbol, conjugation) instance.
 
-    ``a_work`` holds the leading ``window + band + 3`` columns of the
-    coefficient matrix at ``work_degree`` (all rows) and ``t_head`` the
-    Toeplitz truncation on those column indices; products with the whole
-    ``T`` go through :func:`conjtoep.hardy.toeplitz_apply`, so every array
-    a plan forms has at most that many columns.
+    ``a_work`` holds the leading ``window + max(band, 1) + 3`` columns of
+    the coefficient matrix at ``work_degree`` (all rows) and ``t_head`` the
+    Toeplitz truncation on those indices; products with the whole ``T`` go
+    through :func:`conjtoep.hardy.toeplitz_apply`, so no array a plan forms
+    is wider.
     """
 
     phi: LaurentSymbol
@@ -226,10 +225,10 @@ def _make_plan(phi: LaurentSymbol, conj: Conjugation, config: CheckConfig | None
         window = min(DENSE_WINDOW, n - band - 2)
     if window < band or window < 0:
         raise ConjtoepError("degree too small for the requested band")
+    # band-0 and band-1 symbols read the same columns, so share a dense block
     cap = threshold / (2.0 * _TAIL_FACTOR * (window + 1) * scale)
-    a_work, work_degree, tail = working_coefficients(
-        conj, cols=window + band + 2, margin=band + 1, cap=cap
-    )
+    wide = max(band, 1)
+    a_work, work_degree, tail = working_coefficients(conj, cols=window + wide + 2, margin=wide + 1, cap=cap)
     if window + reach > work_degree:
         raise ExactnessError("exactness window violated")
 
@@ -354,14 +353,14 @@ def check_conjugated_toeplitz(
 
 
 def coefficient_defect(a: np.ndarray, t: np.ndarray, jk: int, rows: int) -> float:
-    """Largest defect of the coefficient identities
+    """Frobenius norm of the defects of the coefficient identities
     ``sum_n conj(phi_{n-k}) A[n, j] = sum_m A[k, m] conj(phi_{m-j})``, i.e.
-    of entry ``(k, j)`` of ``T^H A = A conj(T)``, over ``0 <= j, k <= jk``;
+    of entries ``(k, j)`` of ``T^H A = A conj(T)``, over ``0 <= j, k <= jk``;
     every sum stops at index ``rows - 1``."""
     t = t[:rows, : jk + 1]
     lhs = t.conj().T @ a[:rows, : jk + 1]
     rhs = a[: jk + 1, :rows] @ np.conj(t)
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.linalg.norm(lhs - rhs))
 
 
 def _coefficient_equations(plan: _Plan) -> CriterionResult:
@@ -372,11 +371,10 @@ def _coefficient_equations(plan: _Plan) -> CriterionResult:
 
 
 def check_coefficient_equations(
-    phi: LaurentSymbol,
-    conj: Conjugation,
-    config: CheckConfig | None = None,
+    phi: LaurentSymbol, conj: Conjugation, config: CheckConfig | None = None
 ) -> CriterionResult:
-    """Two-sided coefficient identities over all pairs ``0 <= j, k <= window``.
+    """Two-sided coefficient identities over all pairs ``0 <= j, k <= window``
+    (the Frobenius norm of their defects).
 
     Every sum is a complete finite sum for a banded symbol, and the
     conjugation coefficients are exact at any index, so this criterion is
@@ -408,11 +406,7 @@ def _phi_vectors(phi: LaurentSymbol, trunc: int) -> tuple[np.ndarray, np.ndarray
 
 
 def build_xy(
-    conj: Conjugation,
-    k: int,
-    trunc: int,
-    phi: LaurentSymbol | None = None,
-    rows: int | None = None,
+    conj: Conjugation, k: int, trunc: int, phi: LaurentSymbol | None = None, rows: int | None = None
 ) -> XYSystem:
     """Truncated ``X(k)``/``Y(k)`` system.
 
@@ -439,8 +433,8 @@ def _xy(plan: _Plan) -> CriterionResult:
     x, y = plan.xy
     trunc = x.shape[2]
     plus, minus = _phi_vectors(plan.phi, trunc)
-    per_k = np.max(np.abs(x @ plus - y @ minus), axis=1)
-    residual = float(np.max(per_k))
+    per_k = np.linalg.norm(x @ plus - y @ minus, axis=1)
+    residual = float(np.linalg.norm(per_k))
     verdict = decide(residual, plan.threshold, 0.0)
     return CriterionResult(verdict, residual, 0.0, {"per_k": per_k.tolist(), "trunc": trunc})
 
@@ -470,10 +464,9 @@ def check_s_toeplitz_necessary(
 ) -> CriterionResult:
     """Necessary-condition filter ``S^H T S = T`` with ``S = C M_z C``.
 
-    ``S^H T S - T = U (Z^H G Z - G) U^H`` with ``G = U^H T U``, so the
-    residual is the Frobenius norm of ``Z^H G Z - G`` on the window, the
-    steps ``G[i+1, j+1] - G[i, j]`` for ``i, j <= window``.  For a diagonal
-    or window-block ``U`` this is the norm of ``S^H T S - T`` on the window.
+    The residual is the Frobenius norm of ``Z^H G Z - G``, the steps
+    ``G[i+1, j+1] - G[i, j]`` of ``G = U^H T U`` for ``i, j <= window``; for a
+    diagonal or window-block ``U``, that of ``S^H T S - T`` on the window.
 
     A pass here never certifies symmetry (coordinate multiplication by z is
     the standard counterexample with the canonical conjugation); a decisive
@@ -486,11 +479,7 @@ def check_s_toeplitz_necessary(
     return _s_toeplitz(_make_plan(phi, conj, config))
 
 
-def run_all(
-    phi: LaurentSymbol,
-    conj,
-    config: CheckConfig | None = None,
-) -> SymmetryReport:
+def run_all(phi: LaurentSymbol, conj, config: CheckConfig | None = None) -> SymmetryReport:
     """Run all criteria plus the shift-compression necessity check.
 
     ``conj`` may be a materialized :class:`Conjugation` or a family spec

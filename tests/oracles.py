@@ -135,14 +135,15 @@ def u_entry_oracle(params, i, j, series_terms=None):
 
 
 def coefficient_equations_residual(a, phi, jk):
-    """Largest defect of the two-sided coefficient identities, pair by pair.
+    """Frobenius norm of the defects of the two-sided coefficient identities,
+    summed pair by pair.
 
     For ``0 <= j, k <= jk`` compares ``sum_n conj(phi_{n-k}) a[n, j]`` with
     ``sum_{n>=1} conj(phi_n) a[k, n+j] + sum_{l>=0} conj(phi_{-l}) a[k, j-l]``
     as plain finite sums over the symbol's band.
     """
     band = phi.band
-    residual = 0.0
+    squares = 0.0
     for k in range(jk + 1):
         for j in range(jk + 1):
             lhs = 0j
@@ -153,14 +154,15 @@ def coefficient_equations_residual(a, phi, jk):
                 rhs += phi.coefficient(n).conjugate() * a[k, n + j]
             for ell in range(0, min(j, band) + 1):
                 rhs += phi.coefficient(-ell).conjugate() * a[k, j - ell]
-            residual = max(residual, abs(lhs - rhs))
-    return residual
+            squares += abs(lhs - rhs) ** 2
+    return math.sqrt(squares)
 
 
 def xy_residual(a, phi, k, jk, trunc):
-    """Largest row defect of ``X(k) Phi+ = Y(k) Phi-`` over rows ``j <= jk``,
-    with every matrix entry written out from the coefficient array."""
-    residual = 0.0
+    """Euclidean norm of the row defects of ``X(k) Phi+ = Y(k) Phi-`` over
+    rows ``j <= jk``, with every matrix entry written out from the
+    coefficient array."""
+    squares = 0.0
     for j in range(jk + 1):
         lhs = 0j
         rhs = 0j
@@ -173,8 +175,8 @@ def xy_residual(a, phi, k, jk, trunc):
             if m <= k:
                 val -= a[k - m, j]
             rhs += val * phi.coefficient(-m).conjugate()
-        residual = max(residual, abs(lhs - rhs))
-    return residual
+        squares += abs(lhs - rhs) ** 2
+    return math.sqrt(squares)
 
 
 def gradedlex_box(degrees):
@@ -217,10 +219,10 @@ def kron_poly_toeplitz(coeffs, degrees):
 
 
 def finite_asymmetry_residual(t, a):
-    """Largest asymmetry of ``conj(T)^T A``: the finite coefficient identities
-    as the symmetry of one product, in the form the finite check once had."""
+    """Frobenius norm of the asymmetry of ``conj(T)^T A``: the finite
+    coefficient identities as the symmetry of one product."""
     lhs = np.conj(t).T @ a
-    return float(np.max(np.abs(lhs - lhs.T)))
+    return float(np.linalg.norm(lhs - lhs.T))
 
 
 def general_symmetry_residual(t, u):

@@ -37,5 +37,6 @@ def test_bench_run_ends_with_a_correct_result_line(workload, trace):
     assert lines, done.stderr[-2000:]
     result = json.loads(lines[-1], parse_constant=_refuse_constant)
     assert result["correct"] is True, result
+    assert result["failed"] == 0, result
     assert set(result["metrics"]) == METRICS[trace]
     assert len(METRICS[0]) == 7 and len(METRICS[1]) == 51

@@ -17,7 +17,7 @@ from conjtoep.composition import (
 from conjtoep.conjugation import Composition, is_conjugation, materialize, working_coefficients
 from conjtoep.core import ConjtoepError, Tolerance, Window
 from conjtoep.hardy import LaurentSymbol
-from conjtoep.symmetry import PASS, run_all
+from conjtoep.symmetry import PASS, CheckConfig, run_all
 
 from oracles import column_tails_fsum, u_entry_oracle
 
@@ -105,22 +105,25 @@ def test_narrow_blocks_are_the_full_matrix_columns():
             assert cached.shape == (degree + 1, min(19, degree + 1)) and not cached.flags.writeable
             assert np.array_equal(cached, full[:, :19])
             assert np.array_equal(composition._leading_columns(complex(alpha), degree, 24), full[:, :24])
-    assert composition._cached_composition_matrix.cache_info().maxsize == 64
+    assert composition._cached_composition_matrix.cache_info().maxsize == 16
 
 
 def test_padded_tails_are_measured_once_per_degree(monkeypatch):
-    # a second decision on the same conjugation walks the same padded
-    # degrees from memoised tails and ends on the same block and tail
-    composition._padded_tail.cache_clear()
+    # the tails of one (alpha, column count) are measured once, one FFT per
+    # column, for every degree; a second decision ends on the same block,
+    # degree and tail
+    composition._tails.cache_clear()
     conj = materialize(Composition(0.83 - 0.2j), 24)
     calls = []
-    real = composition.column_tails
-    monkeypatch.setattr(composition, "column_tails", lambda *args: calls.append(args[1:]) or real(*args))
+    real = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *args: calls.append(1) or real(*args))
     first = working_coefficients(conj, cols=11, margin=2, cap=1e-12)
-    measured = len(calls)
+    assert len(calls) == 12
     again = working_coefficients(conj, cols=11, margin=2, cap=1e-12)
-    assert measured >= 2 and len(calls) == measured
-    assert again[1:] == first[1:] and np.array_equal(again[0], first[0])
+    looser = working_coefficients(conj, cols=11, margin=3, cap=1e-9)
+    assert len(calls) == 12 and composition._tails.cache_info().misses == 1
+    assert again[1:] == first[1:] and np.shares_memory(again[0], first[0])
+    assert looser[1] < first[1]
 
 
 def test_row_mass_converges_to_one_with_geometric_remainder():
@@ -140,18 +143,74 @@ def test_column_tails_match_fsum_oracle_and_choose_the_same_padding():
         degree = int(rng.integers(16, 40))
         band = int(rng.integers(0, 3))
         cols, margin = min(8, degree - band - 2) + band + 2, band + 1
+        cap = 10.0 ** rng.uniform(-13, -8)
         conj = materialize(Composition(alpha), degree)
-        matrix, work_degree, _ = working_coefficients(conj, cols=cols, margin=margin, cap=0.0)
-        # the growth sequence of the padding search; smaller truncations are
-        # leading blocks of the padded matrix
-        d = max(degree, cols + margin + 8)
-        while True:
+        matrix, work_degree, tail = working_coefficients(conj, cols=cols, margin=margin, cap=cap)
+        # the degree is the first level whose tail meets the cap
+        tails = composition._tails(complex(alpha), cols + 1)
+        level = work_degree - margin
+        assert tail == tails[level] <= cap
+        assert level == max(degree, cols + margin) - margin or tails[level - 1] > cap
+        for d in (max(degree, cols + margin), work_degree):
             oracle = column_tails_fsum(matrix, d - margin, cols, TAIL_RESOLUTION)
             np.testing.assert_allclose(column_tails(matrix, d - margin, cols), oracle, rtol=0, atol=1e-9)
-            if np.max(oracle) <= TAIL_RESOLUTION:
-                break
-            d = int(d * 1.6) + 8
-        assert work_degree == d
+
+
+def test_tails_bound_the_recurrence_rows_within_round_off():
+    # below the chosen level and deeper, the FFT tails bound the direct sums
+    # over the recurrence's rows 200 degrees further, within 1e-13
+    for alpha in (0.05j, 0.3, 0.5 * np.exp(1j), -0.81, 0.92j, 0.97 * np.exp(2.5j)):
+        for count in (4, 12, 19):
+            _, work_degree, _ = composition._working_degree(CompositionParams(alpha), count - 1, 2, 9e-13, 24)
+            matrix = composition_matrix(CompositionParams(alpha), work_degree + 200, count)
+            tails = composition._tails(complex(alpha), count)
+            for level in (work_degree // 2, work_degree - 2, work_degree + 40):
+                direct = max(math.sqrt(math.fsum(abs(v) ** 2 for v in matrix[level + 1 :, k])) for k in range(count))
+                bound = tails[min(level, tails.size - 1)]
+                assert direct <= bound <= direct + 1e-13, (alpha, count, level)
+
+
+def test_degree_and_tail_of_the_default_dense_plans():
+    # every default-window dense plan up to |alpha| = 0.97 certifies its
+    # tail below the threshold
+    rng = np.random.default_rng(31)
+    for r in (0.05, 0.3, 0.5, 0.7, 0.81, 0.88, 0.92, 0.95, 0.97):
+        conj = materialize(Composition(r * np.exp(1j * rng.uniform(0, 2 * np.pi))), int(rng.integers(12, 40)))
+        for coeffs in ({0: 1.5}, {-1: 0.2, 0: 1.0, 1: 0.3j}, {-3: 1.0, 2: 2.0}):
+            report = run_all(LaurentSymbol(coeffs), conj)
+            assert report.tail_bound <= report.tolerance.threshold(max(1.0, LaurentSymbol(coeffs).l1_norm()))
+            assert report.work_degree < composition.PAD_LIMIT
+
+
+def test_small_perturbations_of_a_constant_fail_decisively():
+    # 1 + eps z is not symmetric for any eps != 0; with certified tails every
+    # criterion and the pairing conditions say so
+    conj = materialize(Composition(0.5), 32)
+    for eps in (1e-6, 1e-8, 1e-9):
+        phi = LaurentSymbol({0: 1.0, 1: eps})
+        assert set(run_all(phi, conj).criterion_verdicts().values()) == {"fail"}
+        assert check_w_symmetry_conditions(phi, CompositionParams(0.5), 2)[0] == "fail"
+
+
+def test_band_zero_and_band_one_decisions_share_one_block():
+    composition._cached_composition_matrix.cache_clear()
+    conj = materialize(Composition(0.9 * np.exp(0.3j)), 32)
+    run_all(LaurentSymbol({0: 1.2}), conj)
+    run_all(LaurentSymbol({-1: 0.3, 0: 1.0, 1: 0.1}), conj)
+    info = composition._cached_composition_matrix.cache_info()
+    assert info.misses == 1 and info.hits >= 1
+
+
+def test_wide_blocks_are_built_once(monkeypatch):
+    conj = materialize(Composition(0.97), 32)
+    config = CheckConfig(degree=32, window=17)
+    phi = LaurentSymbol({-1: 0.5, 0: 1.0, 1: 0.25})
+    first = run_all(phi, conj, config)
+    calls = []
+    real = composition.composition_matrix
+    monkeypatch.setattr(composition, "composition_matrix", lambda *args: calls.append(args) or real(*args))
+    again = run_all(phi, conj, config)
+    assert calls == [] and again.residuals == first.residuals
 
 
 def test_materialized_composition_is_conjugation_on_tail_window():
