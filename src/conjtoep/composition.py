@@ -8,8 +8,13 @@ with geometrically decaying entries.  Two independent routes give them: the
 closed-form finite sum ``u_entry`` with exact integer binomials, and the
 stable column recurrence ``composition_matrix`` by the Blaschke factor (the
 closed form cancels catastrophically at extreme indices; the recurrence does
-not).  A power-series route serves as the test suite's oracle.  Dense checks
-read the recurrence at the first degree whose FFT-certified tail is small.
+not).  Each step of the recurrence runs by blocks of rows, one small
+triangular product per block and a carry between blocks, so its Python work
+per column does not grow with the degree; all its weights have modulus at
+most 1 and are rounded once from extended precision, so the blocks are as
+accurate as the row-by-row recurrence, which the tests keep as an oracle
+with the power-series route.  Dense checks read the recurrence at the first
+degree whose FFT-certified tail is small.
 """
 
 from __future__ import annotations
@@ -83,6 +88,12 @@ def u_entry(params: CompositionParams, i: int, j: int) -> complex:
     return value
 
 
+# Rows per block of the column kernel (fewer when the matrix has fewer rows).
+_BLOCK_ROWS = 32
+# Powers of conj(a)^B below this are dropped from the kernel.
+_NEGLIGIBLE = 1e-300
+
+
 def composition_matrix(params: CompositionParams, degree: int, cols: int | None = None) -> np.ndarray:
     """Coefficient matrix of the composition conjugation at a truncation degree.
 
@@ -94,27 +105,56 @@ def composition_matrix(params: CompositionParams, degree: int, cols: int | None 
     ``cols`` the recurrence stops after that many columns, giving the
     ``(degree+1) x cols`` leading block bit for bit, since each column
     depends only on the one before; the default builds all ``degree + 1``.
+
+    One step, dividing by ``1 - conj(a) z`` and multiplying by ``(conj(a)/a)
+    (a - z)``, is a first-order linear recurrence down the rows, evaluated by
+    blocks (Kogge and Stone, IEEE Trans. Comput. C-22, 1973): the rows are cut
+    into blocks of ``B`` (which depends only on the row count), each block is
+    one product with a fixed lower-triangular ``B x B`` matrix, and the
+    quotient at the end of each block carries into the later ones through the
+    powers of ``conj(a)^B``, one rank-one term per block.  Every weight has
+    modulus at most 1, so an entry's error stays proportional to the largest
+    entry at or above it in its column, as with the row-by-row recurrence.
     """
     if degree < 0:
         raise ConjtoepError("degree must be nonnegative")
+    if cols is not None and cols < 1:
+        raise ConjtoepError("cols must be positive")
     a = params.alpha
     ac = a.conjugate()
     n = degree + 1
     width = n if cols is None else min(cols, n)
+    size = min(n, _BLOCK_ROWS)
+    count = -(-n // size)
+    # The weights repeat in every block and column, so an error in one would
+    # add up coherently: they are formed in extended precision, from beta^2 =
+    # 1 - |a|^2 rounded once (an exact ratio of integers), and then rounded
+    # once themselves.
+    (x, xd), (y, yd) = a.real.as_integer_ratio(), a.imag.as_integer_ratio()
+    beta2 = ((xd * yd) ** 2 - (x * yd) ** 2 - (y * xd) ** 2) / (xd * yd) ** 2
+    c = np.clongdouble(ac)
+    powers = c ** np.arange(size + 1)
+    jumps = powers[size] ** np.arange(count)
+    # smaller ones only make subnormal weights and entries, which are slow
+    jumps[np.abs(jumps) < _NEGLIGIBLE] = 0
+    step = (-(c / np.clongdouble(a)) * beta2 * powers[:size]).astype(np.complex128)
+    # kernel[i, r]: weight of row i of a block on row r of its image; the last
+    # column gives the quotient at the block's last row
+    i = np.arange(size)
+    kernel = np.empty((size, size + 1), dtype=np.complex128)
+    kernel[:, :size] = np.concatenate((np.zeros(size - 1), [ac], step[:-1]))[i - i[:, None] + size - 1]
+    kernel[:, size] = powers[size - 1 :: -1]
+    # carry[b, e]: weight of block e's end quotient on the quotient entering block b
+    b = np.arange(count)
+    carry = np.concatenate((np.zeros(count), jumps.astype(np.complex128)))[b[:, None] - b + count - 1]
+    # rows past the last are continued, not zero: they reach no retained row
+    rows = (np.sqrt(np.longdouble(beta2)) * np.multiply.outer(jumps, powers[:size])).astype(np.complex128)
     out = np.empty((n, width), dtype=np.complex128)
-    col = params.beta * ac ** np.arange(n)
-    out[:, 0] = col
-    twist = ac / a
+    out[:, 0] = rows.ravel()[:n]
     for k in range(1, width):
-        g = np.empty(n, dtype=np.complex128)
-        acc = 0j
-        for r in range(n):
-            acc = col[r] + ac * acc
-            g[r] = acc
-        nxt = a * g
-        nxt[1:] -= g[:-1]
-        col = twist * nxt
-        out[:, k] = col
+        image = rows @ kernel
+        rows = image[:, :size] + np.multiply.outer(carry @ image[:, size], step)
+        out[:, k] = rows.ravel()[:n]
     return out
 
 
@@ -171,6 +211,15 @@ def _leading_columns(alpha: complex, degree: int, count: int) -> np.ndarray:
     return _wide_composition_matrix(alpha, degree, count)
 
 
+@lru_cache(maxsize=None)
+def _roots_of_unity(m: int) -> np.ndarray:
+    """The ``m``-th roots of unity in extended precision, read-only; ``m`` is
+    one of the nine powers of two from 64 to :data:`_MAX_SAMPLES`."""
+    z = np.exp(1j * ((8 * np.arctan(np.longdouble(1)) / m) * np.arange(m)))
+    z.setflags(write=False)
+    return z
+
+
 @lru_cache(maxsize=64)
 def _tails(alpha: complex, count: int) -> np.ndarray:
     """Certified l2 tails of the leading ``count`` columns: entry ``l`` bounds
@@ -192,7 +241,7 @@ def _tails(alpha: complex, count: int) -> np.ndarray:
     # the FFT's error (Higham, Accuracy and Stability, Thm 24.2), and per factor
     # 16 units of arithmetic and 32 of node error over 1 - |a| in the samples
     rounding = _U * (1 + 7 * math.log2(m)) + 48 * count * _U_EXT / (1 - r)
-    z = np.exp(1j * ((8 * np.arctan(np.longdouble(1)) / m) * np.arange(m)))
+    z = _roots_of_unity(m)
     a = np.clongdouble(alpha)
     d = 1 - a.conjugate() * z
     b, s = (a.conjugate() / a) * (a - z) / d, np.sqrt(1 - np.longdouble(r) ** 2) / d

@@ -145,8 +145,9 @@ class Conjugation:
         return column_tails(self.coeff, level, cols)
 
     def entry(self, n: int, m: int) -> complex:
-        """Coefficient ``c_{n,m} = <C z^n, z^m>`` (symmetric in its indices)."""
-        return complex(self.coeff[m, n])
+        """Coefficient ``c_{n,m} = <C z^n, z^m>``, read from one triangle of
+        ``A`` so that it is exactly symmetric in its indices."""
+        return complex(self.coeff[max(n, m), min(n, m)])
 
 
 @dataclass(frozen=True)

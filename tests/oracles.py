@@ -85,6 +85,31 @@ def apply_composition_series(alpha, coeffs, terms=None):
     return out[:n]
 
 
+def composition_recurrence(params, degree, cols=None):
+    """The composition matrix by its column recurrence, one row at a time:
+    each column is divided by ``1 - conj(a) z`` with a running sum, then
+    multiplied by ``(conj(a)/a) (a - z)``."""
+    a = params.alpha
+    ac = a.conjugate()
+    n = degree + 1
+    width = n if cols is None else min(cols, n)
+    out = np.empty((n, width), dtype=np.complex128)
+    col = params.beta * ac ** np.arange(n)
+    out[:, 0] = col
+    twist = ac / a
+    for k in range(1, width):
+        g = np.empty(n, dtype=np.complex128)
+        acc = 0j
+        for r in range(n):
+            acc = col[r] + ac * acc
+            g[r] = acc
+        nxt = a * g
+        nxt[1:] -= g[:-1]
+        col = twist * nxt
+        out[:, k] = col
+    return out
+
+
 def column_tails_fsum(matrix, level, cols, floor):
     """Column tails ``sqrt(1 - mass)`` with each column mass summed exactly
     by ``math.fsum``, one column at a time, floored at ``floor``."""

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from conjtoep.core import ConjtoepError, Tolerance, Window
 from conjtoep.hardy import LaurentSymbol
 from conjtoep.symmetry import PASS, CheckConfig, run_all
 
-from oracles import column_tails_fsum, u_entry_oracle
+from oracles import column_tails_fsum, composition_recurrence, u_entry_oracle
 
 
 ALPHAS = [0.3, 0.5 * np.exp(1j * np.pi / 4), 0.7j]
@@ -94,9 +95,11 @@ def test_index_range_guard():
 
 def test_narrow_blocks_are_the_full_matrix_columns():
     # the recurrence stopped after a few columns gives those columns bit for
-    # bit, on the cached path (19 columns) and on the wide path
+    # bit, on the cached path (19 columns) and on the wide path, on both
+    # sides of a block edge of the kernel
+    edge = composition._BLOCK_ROWS
     for alpha in (0.3, 0.6 * np.exp(2j), -0.85 + 0.1j, 0.97j):
-        for degree in (0, 7, 40, 300):
+        for degree in (0, 7, edge - 2, edge - 1, edge, 40, 2 * edge - 1, 2 * edge, 300):
             full = composition_matrix(CompositionParams(alpha), degree)
             for cols in (1, 6, 19, 26, degree + 4):
                 block = composition_matrix(CompositionParams(alpha), degree, cols)
@@ -106,6 +109,58 @@ def test_narrow_blocks_are_the_full_matrix_columns():
             assert np.array_equal(cached, full[:, :19])
             assert np.array_equal(composition._leading_columns(complex(alpha), degree, 24), full[:, :24])
     assert composition._cached_composition_matrix.cache_info().maxsize == 16
+
+
+def test_blocked_kernel_matches_the_row_by_row_recurrence():
+    # each entry within 1e-12 of the largest magnitude at or above it in its
+    # column, full width while the row loop is cheap and narrow to degree 3067
+    edge = composition._BLOCK_ROWS
+    for alpha in (0.05, 0.3, 0.5j, 0.81, 0.97):
+        p = CompositionParams(alpha)
+        for degree in (0, 1, edge - 1, edge, edge + 1, 2 * edge, 2048, 3067):
+            for cols in ((None, 19, 21) if degree <= 2 * edge else (19, 21)):
+                got = composition_matrix(p, degree, cols)
+                want = composition_recurrence(p, degree, cols)
+                envelope = np.maximum.accumulate(np.abs(want), axis=0)
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 1e-12 * envelope + 1e-15), (alpha, degree, cols)
+
+
+def _line_events(call):
+    # Python line events executed anywhere during ``call()``
+    events = 0
+
+    def trace(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return events
+
+
+def test_composition_matrix_has_no_per_row_python_loop():
+    # the interpreter's work per column must not grow with the degree beyond
+    # one step per extra block; the row-by-row oracle fails this guard
+    p = CompositionParams(0.9 * np.exp(0.4j))
+    extra_blocks = -(-4097 // composition._BLOCK_ROWS) - -(-257 // composition._BLOCK_ROWS)
+    small = _line_events(lambda: composition_matrix(p, 256, 19))
+    large = _line_events(lambda: composition_matrix(p, 4096, 19))
+    assert large <= small + extra_blocks
+    looped = _line_events(lambda: composition_recurrence(p, 4096, 19))
+    assert looped > _line_events(lambda: composition_recurrence(p, 256, 19)) + extra_blocks
+
+
+def test_composition_matrix_refuses_empty_widths_before_allocating():
+    # at a degree whose matrix could never be allocated: the refusal comes first
+    for cols in (0, -2):
+        with pytest.raises(ConjtoepError, match="cols must be positive"):
+            composition_matrix(CompositionParams(0.5), 10**12, cols)
 
 
 def test_padded_tails_are_measured_once_per_degree(monkeypatch):
