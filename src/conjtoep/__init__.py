@@ -6,18 +6,12 @@ from .core import (
     ConjtoepError,
     ExactnessError,
     Tolerance,
-    Window,
-    frobenius_distance,
     is_unitary_on_window,
-    random_symmetric_unitary,
-    random_unitary,
 )
 from .hardy import (
     LaurentSymbol,
-    ShiftOperator,
     TruncatedOperator,
     is_toeplitz,
-    s_toeplitz_residual,
     toeplitz_matrix,
 )
 from .conjugation import (
@@ -28,14 +22,12 @@ from .conjugation import (
     Conjugation,
     FromBasis,
     ThetaXi,
-    apply_conjugation,
     canonical_factorization,
     conjugation_from_fixed_basis,
     intertwine_lambda,
     is_conjugation,
     materialize,
     parse_family_spec,
-    shift_from_conjugation,
 )
 from .composition import (
     CompositionParams,
@@ -43,7 +35,6 @@ from .composition import (
     check_w_symmetry_conditions,
     composition_matrix,
     scan_trigpoly_theorem,
-    u_entry,
 )
 from .symmetry import (
     FAIL,
@@ -52,8 +43,6 @@ from .symmetry import (
     CheckConfig,
     CriterionDisagreement,
     SymmetryReport,
-    XYSystem,
-    build_xy,
     check_coefficient_equations,
     check_conjugated_toeplitz,
     check_definition,

@@ -29,7 +29,7 @@ from .conjugation import (
     parse_family_spec,
     unitarity_slack,
 )
-from .core import ConjtoepError, Tolerance, Window
+from .core import ConjtoepError, Tolerance
 from .finite import FiniteToeplitz, finite_symmetry_criterion, general_symmetry, toeplitz_conjugation
 from .hardy import LaurentSymbol
 from .polydisc import BoxTruncation, PolySymbol, check_poly_criterion, poly_check_definition
@@ -55,8 +55,6 @@ EXIT_INVARIANT = 65
 EXIT_UNEXPECTED = 70
 EXIT_IOERR = 74
 
-DEFAULT_DEGREE = 32
-
 
 class _InputError(Exception):
     pass
@@ -72,16 +70,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _InputError(message)
-
-
-def _default_degree() -> int:
-    raw = os.environ.get("CONJTOEP_DEFAULT_DEGREE")
-    if raw is None:
-        return DEFAULT_DEGREE
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise _InputError(f"CONJTOEP_DEFAULT_DEGREE is not an integer: {raw!r}") from exc
 
 
 def _load_json_arg(raw: str) -> dict:
@@ -162,9 +150,8 @@ def _one_variable_inputs(args):
     with _parsing():
         phi = LaurentSymbol.from_json_dict(_load_json_arg(args.symbol))
         family = parse_family_spec(_load_json_arg(args.conj))
-        degree = args.degree if args.degree is not None else _default_degree()
-        config = CheckConfig(degree=degree, window=args.window, tolerance=_tolerance(args))
-    return phi, materialize(family, degree), config
+        config = CheckConfig(degree=args.degree, window=args.window, tolerance=_tolerance(args))
+    return phi, materialize(family, args.degree), config
 
 
 def _cmd_check(args) -> int:
@@ -181,17 +168,17 @@ def _cmd_check(args) -> int:
 def _cmd_factor(args) -> int:
     with _parsing():
         family = parse_family_spec(_load_json_arg(args.conj))
-        degree = args.degree if args.degree is not None else _default_degree()
         tol = _tolerance(args)
+    degree = args.degree
     conj = materialize(family, degree)
     u = canonical_factorization(conj, tol)
-    window = Window.square(min(8, degree) if conj.band is None else degree)
+    window = min(8, degree) if conj.band is None else degree
     tail_bound = unitarity_slack(conj, window)
     ok, residuals = is_conjugation(conj.coeff, window, tol, tail_bound)
     payload = {
         "unitary": _matrix_to_json(u),
         "residuals": residuals,
-        "window": [window.max_row, window.max_col],
+        "window": [window, window],
         "tail_bound": tail_bound,
         "config": {"degree": degree, "tolerance": {"absolute": tol.absolute, "relative": tol.relative}},
     }
@@ -304,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     symbol = flags(("--symbol", {"required": True, "help": "symbol JSON or @file"}))
     conj = flags(("--conj", {"required": True, "help": "conjugation family JSON or @file"}))
-    degree = flags(("--degree", {"type": int, "help": "default 32, env CONJTOEP_DEFAULT_DEGREE"}))
+    degree = flags(("--degree", {"type": int, "default": CheckConfig.degree, "help": "default %(default)s"}))
     box = flags(("--box", {"required": True, "help": "per-axis degrees N1,N2,..."}))
     tolerance = flags(
         ("--tol-abs", {"type": float, "default": 1e-12}),

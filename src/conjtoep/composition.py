@@ -4,17 +4,16 @@ For a fixed ``alpha`` in the punctured open disc, the unitary weighted
 composition operator with weight ``sqrt(1-|alpha|^2)/(1-z*conj(alpha))`` and
 symbol ``(conj(alpha)/alpha)(alpha-z)/(1-conj(alpha)z)`` composed with
 coordinatewise conjugation is a conjugation whose coefficient matrix is dense
-with geometrically decaying entries.  Two independent routes give them: the
-closed-form finite sum ``u_entry`` with exact integer binomials, and the
-stable column recurrence ``composition_matrix`` by the Blaschke factor (the
-closed form cancels catastrophically at extreme indices; the recurrence does
-not).  Each step of the recurrence runs by blocks of rows, one small
-triangular product per block and a carry between blocks, so its Python work
-per column does not grow with the degree; all its weights have modulus at
-most 1 and are rounded once from extended precision, so the blocks are as
-accurate as the row-by-row recurrence, which the tests keep as an oracle
-with the power-series route.  Dense checks read the recurrence at the first
-degree whose FFT-certified tail is small.
+with geometrically decaying entries.  The library builds it one way, by the
+stable column recurrence ``composition_matrix`` with the Blaschke factor.
+Each step of the recurrence runs by blocks of rows, one small triangular
+product per block and a carry between blocks, so its Python work per column
+does not grow with the degree; all its weights have modulus at most 1 and
+are rounded once from extended precision, so the blocks are as accurate as
+the row-by-row recurrence.  The tests check the matrix against that
+recurrence and against the power-series expansion of the entries.  Dense
+checks read the recurrence at the first degree whose FFT-certified tail is
+small.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .hardy import LaurentSymbol
 
 __all__ = [
     "CompositionParams",
-    "u_entry",
     "composition_matrix",
     "column_tails",
     "check_w_symmetry_conditions",
@@ -40,10 +38,6 @@ __all__ = [
     "ScanReport",
     "scan_trigpoly_theorem",
 ]
-
-# Beyond this the float image of the exact binomials overflows or the
-# alternating closed-form sum cancels catastrophically.
-_MAX_INDEX_SUM = 1000
 
 
 @dataclass(frozen=True)
@@ -57,35 +51,6 @@ class CompositionParams:
         object.__setattr__(self, "alpha", a)
         if a == 0 or abs(a) >= 1:
             raise ConjtoepError("alpha outside punctured disc")
-
-    @property
-    def beta(self) -> float:
-        return math.sqrt(1.0 - abs(self.alpha) ** 2)
-
-
-def u_entry(params: CompositionParams, i: int, j: int) -> complex:
-    """Closed-form coefficient ``<W z^i, z^j>`` of the composition unitary.
-
-    Evaluates ``sqrt(1-|a|^2) * sum_m (-1)^m a^-m C(i,m) conj(a)^(i+j-m)
-    C(i+j-m, i)`` over ``m = 0..min(i,j)`` with exact integer binomials.
-    The alternating sum cancels by several orders of magnitude at larger
-    indices, so terms are accumulated in extended precision; the result is
-    symmetric in (i, j) up to round-off.
-    """
-    if i < 0 or j < 0:
-        raise ConjtoepError("indices must be nonnegative")
-    if i + j > _MAX_INDEX_SUM:
-        raise ConjtoepError("index out of supported range")
-    a = np.clongdouble(params.alpha)
-    ac = np.conj(a)
-    total = np.clongdouble(0)
-    for m in range(min(i, j) + 1):
-        term = ((-1) ** m / a**m) * math.comb(i, m) * ac ** (i + j - m) * math.comb(i + j - m, i)
-        total += term
-    value = complex(params.beta * total)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ConjtoepError("index out of supported range")
-    return value
 
 
 # Rows per block of the column kernel (fewer when the matrix has fewer rows).

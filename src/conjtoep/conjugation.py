@@ -27,11 +27,10 @@ from .core import (
     ConjtoepError,
     Tolerance,
     DEFAULT_TOLERANCE,
-    Window,
+    _windowed,
     is_unitary_on_window,
     require_matrix,
 )
-from .hardy import ShiftOperator
 
 __all__ = [
     "NotConjugationError",
@@ -49,11 +48,8 @@ __all__ = [
     "phase_diagonal",
     "conjugation_from_fixed_basis",
     "is_conjugation",
-    "apply_conjugation",
     "unitarity_slack",
     "canonical_factorization",
-    "shift_columns",
-    "shift_from_conjugation",
     "intertwine_lambda",
     "working_coefficients",
 ]
@@ -145,9 +141,14 @@ class Conjugation:
         return column_tails(self.coeff, level, cols)
 
     def entry(self, n: int, m: int) -> complex:
-        """Coefficient ``c_{n,m} = <C z^n, z^m>``, read from one triangle of
-        ``A`` so that it is exactly symmetric in its indices."""
-        return complex(self.coeff[max(n, m), min(n, m)])
+        """Coefficient ``c_{n,m} = <C z^n, z^m>`` for ``0 <= n, m <= degree``,
+        read from one triangle of ``A`` so that it is exactly symmetric in its
+        indices; a band-0 conjugation reads its diagonal."""
+        if not (0 <= n <= self.degree and 0 <= m <= self.degree):
+            raise ConjtoepError("coefficient index outside 0..degree")
+        if self.band == 0:
+            return complex(self.entries[n]) if n == m else 0j
+        return complex(self.entries[max(n, m), min(n, m)])
 
 
 @dataclass(frozen=True)
@@ -343,7 +344,7 @@ def conjugation_from_fixed_basis(
     coeff = f @ f.T
     if k < n:
         coeff = coeff + np.diag(np.r_[np.zeros(k), np.ones(n - k)]).astype(np.complex128)
-    ok, residuals = is_conjugation(coeff, Window.full(n), tol)
+    ok, residuals = is_conjugation(coeff, n - 1, tol)
     if not ok:
         raise BasisError(
             "identity-fixed completion is not a conjugation "
@@ -359,9 +360,9 @@ def conjugation_from_fixed_basis(
 
 
 def is_conjugation(
-    a, w: Window, tol: Tolerance = DEFAULT_TOLERANCE, slack: float = 0.0
+    a, w: int, tol: Tolerance = DEFAULT_TOLERANCE, slack: float = 0.0
 ) -> tuple[bool, dict]:
-    """Symmetric-unitary test on a window.
+    """Symmetric-unitary test on the window ``0..w``.
 
     Returns ``(verdict, {"symmetry": r1, "unitarity": r2})``; a matrix is a
     conjugation coefficient matrix exactly when it is symmetric and unitary
@@ -369,22 +370,17 @@ def is_conjugation(
     unitarity defect a truncation may inflict (:func:`unitarity_slack`).
     """
     a = require_matrix(a, square=True)
-    w.require_fits(a.shape)
-    sym = float(np.linalg.norm((a - a.T)[: w.max_row + 1, : w.max_col + 1]))
+    block = _windowed(a, w)
+    sym = float(np.linalg.norm(block - block.T))
     _, unit = is_unitary_on_window(a, w, tol)
     ok = sym <= tol.threshold(1.0) and unit <= tol.threshold(1.0) + slack
     return ok, {"symmetry": sym, "unitarity": unit}
 
 
-def apply_conjugation(c: Conjugation, x) -> np.ndarray:
-    """Apply the anti-linear map: ``C x = A conj(x)``."""
-    x = np.asarray(x, dtype=np.complex128)
-    return c.coeff @ np.conj(x)
-
-
-def unitarity_slack(c: Conjugation, w: Window) -> float:
-    """Frobenius bound for the unitarity defect a truncation inflicts on w."""
-    tails = c.tails(c.degree, min(max(w.max_row, w.max_col), c.degree))
+def unitarity_slack(c: Conjugation, w: int) -> float:
+    """Frobenius bound for the unitarity defect a truncation inflicts on the
+    window ``0..w``."""
+    tails = c.tails(c.degree, min(w, c.degree))
     return float(np.sum(tails**2))
 
 
@@ -396,40 +392,9 @@ def canonical_factorization(c: Conjugation, tol: Tolerance = DEFAULT_TOLERANCE) 
     validated as a conjugation first, with a Parseval slack for dense
     families, whose truncations cannot be exactly unitary.
     """
-    w = Window.full(c.degree + 1)
-    if not is_conjugation(c.coeff, w, tol, unitarity_slack(c, w))[0]:
+    if not is_conjugation(c.coeff, c.degree, tol, unitarity_slack(c, c.degree))[0]:
         raise NotConjugationError("not a conjugation")
     return c.coeff
-
-
-def shift_columns(a: np.ndarray, count: int) -> np.ndarray:
-    """Leading ``count`` columns of ``C M_z C`` for the coefficient matrix ``a``.
-
-    Column ``n`` is ``a conj(M_z a e_n)``: apply C, move every coefficient
-    row ``r`` to ``r + 1`` and drop the last, apply C again.
-    """
-    shifted = np.zeros((a.shape[0], count), dtype=np.complex128)
-    shifted[1:] = a[:-1, :count]
-    return a @ np.conj(shifted, out=shifted)
-
-
-def shift_from_conjugation(c: Conjugation, degree: int | None = None) -> ShiftOperator:
-    """Truncation of the shift obtained by conjugating coordinate multiplication.
-
-    Columns come from :func:`shift_columns`.  The result satisfies
-    ``S f_n = f_{n+1}`` for the fixed-point-adjacent basis ``f_n = U e_n``.
-    """
-    n_deg = c.degree if degree is None else degree
-    if n_deg > c.degree:
-        raise ConjtoepError("requested degree exceeds the materialized conjugation")
-    s = shift_columns(c.coeff[: n_deg + 1, : n_deg + 1], n_deg + 1)
-    band = None if c.band is None else 2 * c.band + 1
-    shift = ShiftOperator(s, n_deg, band=band)
-    if band is not None:
-        exact = shift.exact_columns()
-        if exact and shift.isometry_defect(exact - 1) > 1e-8:
-            raise ConjtoepError("shift columns lost orthonormality inside the exact window")
-    return shift
 
 
 def intertwine_lambda(c: Conjugation, basis: BasisSpec, tol: Tolerance = DEFAULT_TOLERANCE) -> complex | None:

@@ -7,7 +7,8 @@ call concurrently.
 
 Matrix convention used throughout: ``M[i, j]`` is the coefficient of the
 ``i``-th basis vector in the image of the ``j``-th one, i.e. columns are
-images of basis vectors.
+images of basis vectors.  A window is an inclusive integer bound ``w``: a
+check on it reads the leading block ``[0..w] x [0..w]``.
 """
 
 from __future__ import annotations
@@ -25,16 +26,12 @@ __all__ = [
     "ConjtoepError",
     "WindowError",
     "ExactnessError",
-    "Window",
     "Tolerance",
     "DEFAULT_TOLERANCE",
     "decide",
     "require_coefficient",
     "require_matrix",
-    "frobenius_distance",
     "is_unitary_on_window",
-    "random_unitary",
-    "random_symmetric_unitary",
 ]
 
 
@@ -48,45 +45,13 @@ class ConjtoepError(Exception):
 
 
 class WindowError(ConjtoepError):
-    """Raised when a window does not fit inside the matrix it is applied to."""
+    """Raised when a window is negative or does not fit inside the matrix it
+    is applied to."""
 
 
 class ExactnessError(ConjtoepError):
     """Raised when a requested window exceeds the region where truncated
     entries provably equal the untruncated operator's entries."""
-
-
-@dataclass(frozen=True)
-class Window:
-    """Inclusive index bounds of the submatrix ``[0..max_row] x [0..max_col]``.
-
-    A window attached to a truncated operator records which entries are
-    exact, i.e. equal to the corresponding entries of the untruncated
-    operator.
-    """
-
-    max_row: int
-    max_col: int
-
-    def __post_init__(self):
-        if self.max_row < 0 or self.max_col < 0:
-            raise WindowError("window bounds must be nonnegative")
-
-    @classmethod
-    def full(cls, n: int) -> "Window":
-        """Window covering an entire n x n matrix."""
-        return cls(n - 1, n - 1)
-
-    @classmethod
-    def square(cls, m: int) -> "Window":
-        return cls(m, m)
-
-    def fits(self, shape: tuple[int, int]) -> bool:
-        return self.max_row < shape[0] and self.max_col < shape[1]
-
-    def require_fits(self, shape: tuple[int, int]) -> None:
-        if not self.fits(shape):
-            raise WindowError("window exceeds matrix")
 
 
 @dataclass(frozen=True)
@@ -158,51 +123,25 @@ def require_matrix(a, square: bool = False) -> np.ndarray:
     return m
 
 
-def _windowed(a: np.ndarray, w: Window) -> np.ndarray:
-    w.require_fits(a.shape)
-    return a[: w.max_row + 1, : w.max_col + 1]
+def _windowed(a: np.ndarray, w: int) -> np.ndarray:
+    """The block ``[0..w] x [0..w]`` of a matrix; a window bound that is
+    negative or does not fit the matrix is refused."""
+    if w < 0:
+        raise WindowError("window bounds must be nonnegative")
+    if w >= min(a.shape):
+        raise WindowError("window exceeds matrix")
+    return a[: w + 1, : w + 1]
 
 
-def frobenius_distance(a, b, w: Window) -> float:
-    """Frobenius distance of two matrices restricted to a window.
-
-    Returns ``sqrt(sum_{i<=w.max_row, j<=w.max_col} |a_ij - b_ij|^2)``.
-    Symmetric in its matrix arguments and zero exactly when the entries
-    agree on the window.
-    """
-    a = require_matrix(a)
-    b = require_matrix(b)
-    return float(np.linalg.norm(_windowed(a, w) - _windowed(b, w)))
-
-
-def is_unitary_on_window(a, w: Window, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[bool, float]:
-    """Check ``a . a^H = I`` restricted to a window.
+def is_unitary_on_window(a, w: int, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[bool, float]:
+    """Check ``a . a^H = I`` restricted to the window ``0..w``.
 
     Returns ``(verdict, residual)`` where the residual is the Frobenius norm
     of ``(a a^H - I)`` on the window.  The input must be square.
     """
     a = require_matrix(a, square=True)
-    w.require_fits(a.shape)
+    _windowed(a, w)
     gram = a @ a.conj().T
     eye = np.eye(a.shape[0], dtype=np.complex128)
     residual = float(np.linalg.norm(_windowed(gram - eye, w)))
     return residual <= tol.threshold(1.0), residual
-
-
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary via QR of a complex Gaussian matrix."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    # fix the phase ambiguity so the distribution does not favor R's signs
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_symmetric_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random symmetric unitary ``W W^t`` for a random unitary W.
-
-    The product of a unitary with its own transpose is automatically both
-    symmetric and unitary, which is exactly the coefficient matrix shape a
-    conjugation requires.
-    """
-    w = random_unitary(n, rng)
-    return w @ w.T

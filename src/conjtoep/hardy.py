@@ -1,4 +1,4 @@
-"""Laurent symbols, truncated Toeplitz matrices, and shift-compression tests.
+"""Laurent symbols, truncated Toeplitz matrices, and the constant-diagonal test.
 
 Symbols are trigonometric polynomials (finitely many Fourier coefficients);
 every identity checked downstream then reduces to finite sums whose exactness
@@ -14,10 +14,9 @@ import numpy as np
 
 from .core import (
     ConjtoepError,
-    ExactnessError,
     Tolerance,
     DEFAULT_TOLERANCE,
-    Window,
+    _windowed,
     require_coefficient,
     require_matrix,
 )
@@ -28,12 +27,10 @@ _GATHER_BLOCK = 1 << 18
 __all__ = [
     "LaurentSymbol",
     "TruncatedOperator",
-    "ShiftOperator",
     "toeplitz_gather",
     "toeplitz_matrix",
     "toeplitz_apply",
     "is_toeplitz",
-    "s_toeplitz_residual",
 ]
 
 
@@ -104,31 +101,6 @@ class TruncatedOperator:
             raise ConjtoepError("matrix size must be degree + 1")
 
 
-@dataclass(frozen=True)
-class ShiftOperator(TruncatedOperator):
-    """Truncated unilateral shift ``S f_n = f_{n+1}`` for some basis {f_n}.
-
-    ``band`` is the bandwidth of the untruncated matrix when known (None for
-    dense shifts, ``2 b + 1`` for ``C M_z C`` with ``C`` of band ``b``);
-    columns ``0..degree - band`` are then exactly the columns of the
-    untruncated isometry.
-    """
-
-    band: int | None = None
-
-    def exact_columns(self) -> int | None:
-        """Number of leading columns that equal the untruncated shift's."""
-        if self.band is None:
-            return None
-        return max(0, self.degree - self.band + 1)
-
-    def isometry_defect(self, max_col: int) -> float:
-        """Frobenius norm of (S^H S - I) on the leading ``max_col+1`` columns."""
-        s = self.matrix[:, : max_col + 1]
-        gram = s.conj().T @ s
-        return float(np.linalg.norm(gram - np.eye(max_col + 1)))
-
-
 def toeplitz_gather(coefficients: dict, codes: np.ndarray) -> TruncatedOperator:
     """Toeplitz truncation gathered from a coefficient table by index difference.
 
@@ -188,38 +160,19 @@ def toeplitz_apply(phi: LaurentSymbol, x: np.ndarray, transpose: bool = False) -
     return out
 
 
-def is_toeplitz(t, w: Window, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[bool, float]:
-    """Constant-diagonal test on a window.
+def is_toeplitz(t, w: int, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[bool, float]:
+    """Constant-diagonal test on the window ``0..w``.
 
     Returns ``(verdict, residual)`` with residual the maximum of
     ``|t[i, j] - t[i+1, j+1]|`` over pairs whose first element lies in the
     window.
     """
     t = require_matrix(t, square=True)
-    w.require_fits(t.shape)
+    _windowed(t, w)
     n = t.shape[0]
-    top = min(w.max_row + 1, n - 1)
-    right = min(w.max_col + 1, n - 1)
-    if top == 0 or right == 0:
+    top = min(w + 1, n - 1)
+    if top == 0:
         return True, 0.0
-    diff = t[:top, :right] - t[1 : top + 1, 1 : right + 1]
-    residual = float(np.max(np.abs(diff))) if diff.size else 0.0
-    scale = float(np.max(np.abs(t))) if t.size else 1.0
-    return residual <= tol.threshold(max(1.0, scale)), residual
-
-
-def s_toeplitz_residual(t: TruncatedOperator, s: ShiftOperator, w: Window) -> float:
-    """Frobenius norm of ``S^H T S - T`` restricted to a window.
-
-    For a banded shift the window must lie inside the exact columns,
-    ``w.max <= degree - band``, so that every sum defining the windowed
-    entries of the product is complete at this truncation.
-    """
-    if t.degree != s.degree:
-        raise ConjtoepError("operator and shift degrees differ")
-    w.require_fits(t.matrix.shape)
-    if s.band is not None and max(w.max_row, w.max_col) > t.degree - s.band:
-        raise ExactnessError("exactness window violated")
-    left = s.matrix[:, : w.max_row + 1]
-    product = left.conj().T @ (t.matrix @ s.matrix[:, : w.max_col + 1])
-    return float(np.linalg.norm(product - t.matrix[: w.max_row + 1, : w.max_col + 1]))
+    diff = t[:top, :top] - t[1 : top + 1, 1 : top + 1]
+    residual = float(np.max(np.abs(diff)))
+    return residual <= tol.threshold(max(1.0, float(np.max(np.abs(t))))), residual

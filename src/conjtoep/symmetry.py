@@ -44,7 +44,6 @@ from .core import (
     ExactnessError,
     Tolerance,
     DEFAULT_TOLERANCE,
-    Window,
     decide,
 )
 from .composition import DENSE_WINDOW
@@ -56,7 +55,6 @@ __all__ = [
     "INCONCLUSIVE",
     "CheckConfig",
     "CriterionResult",
-    "XYSystem",
     "SymmetryReport",
     "CriterionDisagreement",
     "definition_residual",
@@ -67,7 +65,6 @@ __all__ = [
     "check_transpose_basis",
     "check_conjugated_toeplitz",
     "check_coefficient_equations",
-    "build_xy",
     "check_xy",
     "check_s_toeplitz_necessary",
     "run_all",
@@ -121,21 +118,10 @@ class CriterionResult:
 
 
 @dataclass(frozen=True)
-class XYSystem:
-    """Truncated matrices and coefficient vectors of one k-indexed system."""
-
-    k: int
-    x: np.ndarray
-    y: np.ndarray
-    phi_plus: np.ndarray
-    phi_minus: np.ndarray
-
-
-@dataclass(frozen=True)
 class SymmetryReport:
     verdicts: dict
     residuals: dict
-    window: Window
+    window: int
     tolerance: Tolerance
     tail_bound: float
     degree: int
@@ -158,7 +144,7 @@ class SymmetryReport:
         return {
             "verdicts": dict(self.verdicts),
             "residuals": {k: float(v) for k, v in self.residuals.items()},
-            "window": [self.window.max_row, self.window.max_col],
+            "window": [self.window, self.window],
             "tolerance": {
                 "absolute": self.tolerance.absolute,
                 "relative": self.tolerance.relative,
@@ -328,7 +314,7 @@ def check_transpose_basis(
 def _conjugated_toeplitz(plan: _Plan) -> CriterionResult:
     # T^T is exactly Toeplitz, so U^H T U is Toeplitz exactly when the defect is
     defect = plan.defect[:-1, :-1]
-    _, toep_residual = is_toeplitz(defect, Window.square(plan.window))
+    _, toep_residual = is_toeplitz(defect, plan.window)
     matrix_residual = float(np.linalg.norm(defect))
     residual = max(matrix_residual, toep_residual)
     verdict = decide(residual, plan.threshold, plan.tail_bound)
@@ -384,8 +370,14 @@ def check_coefficient_equations(
 
 
 def _xy_matrices(a: np.ndarray, ks: range, trunc: int, rows: int):
-    """The :func:`build_xy` matrices with rows ``j = 0..rows`` for every ``k``
-    in the contiguous range ``ks``, stacked on a leading axis; column
+    """Truncated ``X(k)``/``Y(k)`` matrices with rows ``j = 0..rows`` and
+    columns ``m = 1..trunc`` for every ``k`` in the contiguous range ``ks``,
+    stacked on a leading axis.
+
+    ``X(k)[j, m-1] = c_{m+k, j} - c_{k, m+j}``; ``Y(k)[j, m-1]`` is
+    ``c_{k, j-m}`` for ``m <= j`` minus ``c_{k-m, j}`` for ``m <= k``, so
+    its columns beyond index ``k`` vanish on the rows ``j <= k``.  The
+    equation for ``(j, k)`` is minus the one for ``(k, j)``.  Column
     ``m - 1`` of all of them is cut from shifted slices of the coefficient
     array ``a``."""
     k0, k1 = ks.start, ks.stop
@@ -403,30 +395,6 @@ def _phi_vectors(phi: LaurentSymbol, trunc: int) -> tuple[np.ndarray, np.ndarray
     plus = np.array([phi.coefficient(n).conjugate() for n in range(1, trunc + 1)])
     minus = np.array([phi.coefficient(-n).conjugate() for n in range(1, trunc + 1)])
     return plus, minus
-
-
-def build_xy(
-    conj: Conjugation, k: int, trunc: int, phi: LaurentSymbol | None = None, rows: int | None = None
-) -> XYSystem:
-    """Truncated ``X(k)``/``Y(k)`` system.
-
-    Rows are indexed by ``j`` and columns by the coefficient index ``n >= 1``.
-    ``X(k)[j, n-1] = c_{n+k, j} - c_{k, n+j}``; ``Y(k)`` has
-    ``c_{k, j-m}`` for ``m <= j`` minus ``c_{k-m, j}`` for ``m <= k``, which
-    reproduces the lower-triangular pattern whose columns beyond index k
-    vanish on the rows ``j <= k``.  The row equation for ``(j, k)`` equals
-    minus the equation for ``(k, j)``, so truncations keep rows beyond ``j = k``
-    to cover both orderings.
-    """
-    if k < 0 or trunc < 1:
-        raise ConjtoepError("k must be nonnegative and trunc positive")
-    n_rows = (trunc + k) if rows is None else rows
-    needed = max(trunc + k, k, n_rows, trunc + n_rows)
-    if needed > conj.degree:
-        raise ExactnessError("exactness window violated")
-    x, y = _xy_matrices(conj.coeff, range(k, k + 1), trunc, n_rows)
-    plus, minus = _phi_vectors(LaurentSymbol() if phi is None else phi, trunc)
-    return XYSystem(k, x[0], y[0], plus, minus)
 
 
 def _xy(plan: _Plan) -> CriterionResult:
@@ -538,7 +506,7 @@ def run_all(phi: LaurentSymbol, conj, config: CheckConfig | None = None) -> Symm
     return SymmetryReport(
         verdicts={k: r.verdict for k, r in results.items()},
         residuals={k: r.residual for k, r in results.items()},
-        window=Window.square(plan.window),
+        window=plan.window,
         tolerance=config.tolerance,
         tail_bound=max(r.tail_bound for r in results.values()),
         degree=conj.degree,

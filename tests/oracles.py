@@ -10,12 +10,19 @@ import math
 import numpy as np
 
 
-def direct_frobenius(a, b, max_row, max_col):
-    total = 0.0
-    for i in range(max_row + 1):
-        for j in range(max_col + 1):
-            total += abs(a[i][j] - b[i][j]) ** 2
-    return math.sqrt(total)
+def random_unitary(n, rng):
+    """Haar-ish random unitary via QR of a complex Gaussian matrix."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    # fix the phase ambiguity so the distribution does not favor R's signs
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_symmetric_unitary(n, rng):
+    """Random symmetric unitary ``W W^t`` for a random unitary W: the
+    coefficient matrix shape a conjugation requires."""
+    w = random_unitary(n, rng)
+    return w @ w.T
 
 
 def apply_theta_xi(theta, xi, coeffs):
@@ -94,7 +101,7 @@ def composition_recurrence(params, degree, cols=None):
     n = degree + 1
     width = n if cols is None else min(cols, n)
     out = np.empty((n, width), dtype=np.complex128)
-    col = params.beta * ac ** np.arange(n)
+    col = math.sqrt(1.0 - abs(a) ** 2) * ac ** np.arange(n)
     out[:, 0] = col
     twist = ac / a
     for k in range(1, width):
@@ -130,7 +137,7 @@ def u_entry_oracle(params, i, j, series_terms=None):
     Expands ``(alpha - z)^i`` and ``(1 - conj(alpha) z)^(-(i+1))`` as power
     series by repeated convolution and reads off coefficient ``j`` of the
     product, scaled by ``(conj(alpha)/alpha)^i * sqrt(1-|alpha|^2)``.  No
-    binomial is ever evaluated, so this is independent of ``u_entry``.
+    binomial is ever evaluated and no column recurrence is stepped.
     Truncated convolutions are exact for every retained coefficient, so
     ``series_terms`` only needs to exceed ``j``; the default also honours the
     geometric-tail heuristic ``|alpha|^terms < 1e-16``.  The final Cauchy
@@ -202,6 +209,23 @@ def xy_residual(a, phi, k, jk, trunc):
             rhs += val * phi.coefficient(-m).conjugate()
         squares += abs(lhs - rhs) ** 2
     return math.sqrt(squares)
+
+
+def xy_matrices(a, k, trunc, rows):
+    """``X(k)`` and ``Y(k)`` with rows ``j = 0..rows`` and columns
+    ``m = 1..trunc``, entry by entry: ``X(k)[j, m-1] = c_{m+k, j} - c_{k, m+j}``
+    and ``Y(k)[j, m-1] = c_{k, j-m} [m <= j] - c_{k-m, j} [m <= k]``, with
+    ``c_{n,m} = a[n, m]``."""
+    x = np.zeros((rows + 1, trunc), dtype=np.complex128)
+    y = np.zeros((rows + 1, trunc), dtype=np.complex128)
+    for j in range(rows + 1):
+        for m in range(1, trunc + 1):
+            x[j, m - 1] = a[m + k, j] - a[k, m + j]
+            if m <= j:
+                y[j, m - 1] += a[k, j - m]
+            if m <= k:
+                y[j, m - 1] -= a[k - m, j]
+    return x, y
 
 
 def gradedlex_box(degrees):

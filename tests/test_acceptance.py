@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conjtoep.composition import CompositionParams, TrigpolyGrid, scan_trigpoly_theorem, u_entry
+from conjtoep.composition import CompositionParams, TrigpolyGrid, composition_matrix, scan_trigpoly_theorem
 from conjtoep.conjugation import (
     AlphaDiagonal,
     BasisSpec,
@@ -22,13 +22,12 @@ from conjtoep.conjugation import (
     intertwine_lambda,
     materialize,
 )
-from conjtoep.core import random_symmetric_unitary, random_unitary
 from conjtoep.finite import FiniteToeplitz, finite_symmetry_criterion, toeplitz_conjugation
 from conjtoep.hardy import LaurentSymbol, toeplitz_matrix
 from conjtoep.polydisc import BoxTruncation, PolySymbol, check_poly_criterion, poly_check_definition, poly_conjugation, poly_toeplitz
 from conjtoep.symmetry import FAIL, PASS, CheckConfig, check_definition, run_all
 
-from oracles import u_entry_oracle
+from oracles import random_unitary, u_entry_oracle
 
 CRITERIA = ("definition", "transpose_basis", "conjugated_toeplitz", "coefficient_equations", "xy_system")
 
@@ -200,20 +199,21 @@ def test_finite_exhaustive():
 
 
 def test_composition_closed_form():
-    """5: closed form vs series oracle and entry symmetry, i+j <= 24."""
+    """5: composition entries vs the series oracle and entry symmetry, i+j <= 24."""
     rng = np.random.default_rng(55)
     worst_oracle = 0.0
     worst_sym = 0.0
     for _ in range(20):
         alpha = complex((0.05 + 0.65 * rng.random()) * _random_phase(rng))
         p = CompositionParams(alpha)
+        m = composition_matrix(p, 24)
         for i in range(25):
             for j in range(25 - i):
-                got = u_entry(p, i, j)
+                got = m[j, i]
                 worst_oracle = max(worst_oracle, abs(got - u_entry_oracle(p, i, j, series_terms=26)))
-                worst_sym = max(worst_sym, abs(got - u_entry(p, j, i)))
+                worst_sym = max(worst_sym, abs(got - m[i, j]))
     _report_line(
-        "composition closed form (20 alphas, i+j<=24)",
+        "composition entries (20 alphas, i+j<=24)",
         worst_oracle < 1e-12 and worst_sym < 1e-12,
         f"oracle gap {worst_oracle:.1e}, symmetry gap {worst_sym:.1e}",
     )

@@ -25,10 +25,13 @@ from conjtoep.cli import (
     build_parser,
     main,
 )
+from conjtoep.composition import CompositionParams, composition_matrix
 from conjtoep.conjugation import AlphaDiagonal, Composition, Conjugation, ThetaXi, family_spec_to_dict, materialize
 from conjtoep.core import Tolerance
 from conjtoep.hardy import LaurentSymbol
-from conjtoep.symmetry import CheckConfig, CriterionDisagreement, CriterionResult, build_xy, run_all
+from conjtoep.symmetry import CheckConfig, CriterionDisagreement, CriterionResult, run_all
+
+from oracles import xy_matrices
 
 Z_MINUS_ZBAR = '{"coeffs": {"1": [1, 0], "-1": [-1, 0]}}'
 Z_PLUS_ZBAR = '{"coeffs": {"1": [1, 0], "-1": [1, 0]}}'
@@ -136,19 +139,30 @@ def test_xy_prints_the_systems_behind_its_verdict(capsys):
 
 
 def test_xy_systems_equal_build_xy_for_banded_conjugations(capsys):
-    phi = LaurentSymbol({-2: 1, 1: 1j, 2: 0.5})
-    conj = materialize(AlphaDiagonal((1, 1j, -1j), period=2), 12)
-    code, payload = run(
-        capsys, "xy", "--symbol", phi.to_json(), "--conj", json.dumps(family_spec_to_dict(conj.family)),
-        "--degree", "12",
-    )
-    assert code == EXIT_FAIL
-    window = payload["config"]["window"]
-    assert [system["k"] for system in payload["systems"]] == list(range(window + 1))
-    for system in payload["systems"]:
-        want = build_xy(conj, system["k"], 2, phi=phi, rows=window)
-        np.testing.assert_array_equal(np.array(system["X"]) @ [1, 1j], want.x)
-        np.testing.assert_array_equal(np.array(system["Y"]) @ [1, 1j], want.y)
+    # the printed systems equal the entry-by-entry X/Y oracle on the
+    # conjugation's matrix, or a composition's padded block at work degree
+    cases = [
+        (LaurentSymbol({-2: 1, 1: 1j, 2: 0.5}), AlphaDiagonal((1, 1j, -1j), period=2)),
+        (LaurentSymbol({-1: 0.5, 0: 1.0, 1: 0.25}), Composition(0.6j)),
+    ]
+    for phi, spec in cases:
+        conj = materialize(spec, 12)
+        code, payload = run(
+            capsys, "xy", "--symbol", phi.to_json(), "--conj", json.dumps(family_spec_to_dict(spec)), "--degree", "12",
+        )
+        assert code == EXIT_FAIL
+        window = payload["config"]["window"]
+        assert [system["k"] for system in payload["systems"]] == list(range(window + 1))
+        plan = symmetry._make_plan(phi, conj, CheckConfig(degree=12))
+        if conj.band is None:
+            assert plan.work_degree > 12
+            a = composition_matrix(CompositionParams(spec.alpha), plan.work_degree)
+        else:
+            a = conj.coeff
+        for system in payload["systems"]:
+            x, y = xy_matrices(a, system["k"], max(phi.band, 1), window)
+            np.testing.assert_array_equal(np.array(system["X"]) @ [1, 1j], x)
+            np.testing.assert_array_equal(np.array(system["Y"]) @ [1, 1j], y)
 
 
 # a band-1 conjugation: C z^0 = i z^1
@@ -450,7 +464,7 @@ def test_readme_layout_names_exist():
         if name.isidentifier() and not keyword.iskeyword(name)
     } - {"conjtoep"}
     modules = [importlib.import_module(f"conjtoep.{m.name}") for m in pkgutil.iter_modules(conjtoep.__path__)]
-    assert len(rows) == len(modules) and "shift_columns" in names
+    assert len(rows) == len(modules) and "toeplitz_apply" in names
     assert {name for name in names if not any(hasattr(m, name) for m in modules)} == set()
 
 
@@ -559,16 +573,15 @@ def test_report_round_trips_through_schema(capsys, tmp_path):
     assert set(first["verdicts"]) >= {"definition", "xy_system", "s_toeplitz"}
 
 
-def test_symbol_from_file_and_env_degree(capsys, tmp_path, monkeypatch):
+def test_symbol_from_file_and_env_degree(capsys, tmp_path):
     symbol_file = tmp_path / "symbol.json"
     symbol_file.write_text(Z_MINUS_ZBAR)
-    monkeypatch.setenv("CONJTOEP_DEFAULT_DEGREE", "20")
-    code, payload = run(capsys, "check", "--symbol", f"@{symbol_file}", "--conj", THETA_PI)
+    code, payload = run(capsys, "check", "--symbol", f"@{symbol_file}", "--conj", THETA_PI, "--degree", "20")
     assert code == EXIT_PASS
     assert payload["degree"] == 20
-    monkeypatch.setenv("CONJTOEP_DEFAULT_DEGREE", "not-a-number")
-    code = main(["check", "--symbol", Z_MINUS_ZBAR, "--conj", THETA_PI])
-    assert code == EXIT_BAD_INPUT
+    # without --degree, check, xy and factor read CheckConfig's default
+    for argv in (["check", "--symbol", Z_MINUS_ZBAR], ["xy", "--symbol", Z_MINUS_ZBAR], ["factor"]):
+        assert run(capsys, *argv, "--conj", THETA_PI)[1]["config"]["degree"] == CheckConfig.degree == 32
 
 
 def test_pretty_format(capsys):

@@ -13,10 +13,9 @@ from conjtoep.composition import (
     column_tails,
     composition_matrix,
     scan_trigpoly_theorem,
-    u_entry,
 )
 from conjtoep.conjugation import Composition, is_conjugation, materialize, working_coefficients
-from conjtoep.core import ConjtoepError, Tolerance, Window
+from conjtoep.core import ConjtoepError, Tolerance
 from conjtoep.hardy import LaurentSymbol
 from conjtoep.symmetry import PASS, CheckConfig, run_all
 
@@ -35,62 +34,46 @@ def test_params_validation():
 
 def test_first_row_is_scaled_kernel_coefficients():
     for alpha in ALPHAS:
-        p = CompositionParams(alpha)
+        m = composition_matrix(CompositionParams(alpha), 9)
         for j in range(10):
             expected = math.sqrt(1 - abs(alpha) ** 2) * np.conj(alpha) ** j
-            assert u_entry(p, 0, j) == pytest.approx(expected, abs=1e-14)
+            assert m[0, j] == pytest.approx(expected, abs=1e-14)
 
 
 def test_u11_half_alpha():
-    p = CompositionParams(0.5)
-    assert u_entry(p, 1, 1) == pytest.approx(-math.sqrt(3) / 4, abs=1e-14)
+    m = composition_matrix(CompositionParams(0.5), 1)
+    assert m[1, 1] == pytest.approx(-math.sqrt(3) / 4, abs=1e-14)
 
 
 def test_entry_symmetry_sampled():
     rng = np.random.default_rng(12)
     for _ in range(20):
         alpha = (0.1 + 0.7 * rng.random()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        p = CompositionParams(complex(alpha))
+        m = composition_matrix(CompositionParams(complex(alpha)), 11)
         i, j = rng.integers(0, 12, 2)
-        assert abs(u_entry(p, int(i), int(j)) - u_entry(p, int(j), int(i))) < 1e-12
-    p = CompositionParams(0.4 - 0.3j)
-    assert abs(u_entry(p, 2, 1) - u_entry(p, 1, 2)) < 1e-14
+        assert abs(m[i, j] - m[j, i]) < 1e-12
+    m = composition_matrix(CompositionParams(0.4 - 0.3j), 2)
+    assert abs(m[2, 1] - m[1, 2]) < 1e-14
 
 
-def test_closed_form_matches_series_oracle():
-    for alpha in ALPHAS:
-        p = CompositionParams(alpha)
-        for i in range(13):
-            for j in range(13):
-                got = u_entry(p, i, j)
-                want = u_entry_oracle(p, i, j)
-                assert abs(got - want) < 1e-12
-
-
-def test_matrix_recurrence_matches_closed_form():
-    for alpha in [0.3, 0.55 * np.exp(0.9j)]:
+def test_matrix_matches_series_oracle():
+    for alpha in [*ALPHAS, 0.55 * np.exp(0.9j)]:
         p = CompositionParams(alpha)
         m = composition_matrix(p, 14)
         for i in range(15):
             for j in range(15):
-                assert abs(m[j, i] - u_entry(p, i, j)) < 1e-12
+                assert abs(m[j, i] - u_entry_oracle(p, i, j)) < 1e-12
 
 
 def test_small_alpha_limit_is_alternating_diagonal():
     # as real alpha -> 0 the Blaschke factor tends to -z, so the conjugation
     # tends to the sign-alternating diagonal family; deviations are O(alpha)
     for alpha, tol in [(0.01, 3 * 0.01), (1e-4, 1e-3)]:
-        p = CompositionParams(alpha)
+        m = composition_matrix(CompositionParams(alpha), 3)
         for i in range(4):
             for j in range(4):
                 target = (-1.0) ** i if i == j else 0.0
-                assert abs(u_entry(p, i, j) - target) < tol
-
-
-def test_index_range_guard():
-    p = CompositionParams(0.5)
-    with pytest.raises(ConjtoepError, match="index out of supported range"):
-        u_entry(p, 600, 500)
+                assert abs(m[j, i] - target) < tol
 
 
 def test_narrow_blocks_are_the_full_matrix_columns():
@@ -272,7 +255,7 @@ def test_materialized_composition_is_conjugation_on_tail_window():
     conj = materialize(Composition(0.4), 48)
     tails = conj.tails(48, 6)
     ok, residuals = is_conjugation(
-        conj.coeff, Window.square(6), Tolerance(absolute=float(np.sum(tails**2)) + 1e-12, relative=1e-10)
+        conj.coeff, 6, Tolerance(absolute=float(np.sum(tails**2)) + 1e-12, relative=1e-10)
     )
     assert ok
     assert residuals["symmetry"] < 1e-12

@@ -4,93 +4,60 @@ import pytest
 from conjtoep.core import (
     ConjtoepError,
     Tolerance,
-    Window,
     WindowError,
-    frobenius_distance,
     is_unitary_on_window,
-    random_symmetric_unitary,
-    random_unitary,
+    require_matrix,
 )
+from conjtoep.conjugation import is_conjugation
+from conjtoep.hardy import is_toeplitz
 
-from oracles import direct_frobenius
-
-
-def test_frobenius_identity_is_zero():
-    eye = np.eye(2, dtype=complex)
-    assert frobenius_distance(eye, eye, Window.full(2)) == 0.0
+from oracles import random_symmetric_unitary, random_unitary
 
 
-def test_frobenius_single_unit_entry():
-    a = np.array([[1, 0], [0, 1]], dtype=complex)
-    b = np.array([[0, 0], [0, 1]], dtype=complex)
-    assert frobenius_distance(a, b, Window.full(2)) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_frobenius_matches_direct_summation_oracle():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    e = np.zeros((5, 5), dtype=complex)
-    e[2, 3] = 1e-3
-    b = a + e
-    got = frobenius_distance(a, b, Window.full(5))
-    assert got == pytest.approx(1e-3, abs=1e-15)
-    # partial windows agree with the loop oracle too
-    for w in [Window(1, 3), Window(4, 2), Window(0, 0)]:
-        assert frobenius_distance(a, b, w) == pytest.approx(
-            direct_frobenius(a, b, w.max_row, w.max_col), abs=1e-13
-        )
-
-
-def test_frobenius_triangle_inequality():
-    rng = np.random.default_rng(11)
-    w = Window.full(4)
-    for _ in range(25):
-        a, b, c = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(3))
-        assert frobenius_distance(a, c, w) <= (
-            frobenius_distance(a, b, w) + frobenius_distance(b, c, w) + 1e-12
-        )
-
-
-def test_frobenius_window_must_fit():
+@pytest.mark.parametrize("check", [is_unitary_on_window, is_conjugation, is_toeplitz])
+def test_windows_that_do_not_fit_are_refused(check):
     a = np.eye(2, dtype=complex)
+    assert check(a, 1)[0]
     with pytest.raises(WindowError, match="window exceeds matrix"):
-        frobenius_distance(a, a, Window(2, 0))
+        check(a, 2)
+    with pytest.raises(WindowError, match="nonnegative"):
+        check(a, -1)
 
 
 def test_matrix_validation_rejects_nonfinite():
     bad = np.array([[np.inf, 0], [0, 1]], dtype=complex)
     with pytest.raises(ConjtoepError):
-        frobenius_distance(bad, bad, Window.full(2))
+        require_matrix(bad)
 
 
 def test_unitary_identity():
-    ok, residual = is_unitary_on_window(np.eye(4, dtype=complex), Window.full(4))
+    ok, residual = is_unitary_on_window(np.eye(4, dtype=complex), 3)
     assert ok and residual == 0.0
 
 
 def test_unitary_diagonal_phases():
     phases = np.exp(1j * np.linspace(-2, 2, 6))
-    ok, residual = is_unitary_on_window(np.diag(phases), Window.full(6))
+    ok, residual = is_unitary_on_window(np.diag(phases), 5)
     assert ok and residual < 1e-14
 
 
 def test_unitary_rejects_shrunk_diagonal():
     d = np.diag([1.0, 0.5, 1.0]).astype(complex)
-    ok, residual = is_unitary_on_window(d, Window.full(3))
+    ok, residual = is_unitary_on_window(d, 2)
     assert not ok
     assert residual >= 0.75  # |0.25 - 1| at the defective diagonal position
 
 
 def test_unitary_requires_square():
     with pytest.raises(ConjtoepError):
-        is_unitary_on_window(np.ones((2, 3), dtype=complex), Window(1, 1))
+        is_unitary_on_window(np.ones((2, 3), dtype=complex), 1)
 
 
 def test_unitary_verdict_agrees_with_transpose_on_symmetric_window():
     rng = np.random.default_rng(5)
     for n in [3, 5]:
         for candidate in [random_unitary(n, rng), rng.standard_normal((n, n)) + 0j]:
-            w = Window.square(n - 1)
+            w = n - 1
             ok_a, _ = is_unitary_on_window(candidate, w)
             ok_t, _ = is_unitary_on_window(candidate.T, w)
             assert ok_a == ok_t
@@ -111,5 +78,5 @@ def test_random_symmetric_unitary_is_symmetric_unitary():
     for n in [2, 5, 8]:
         a = random_symmetric_unitary(n, rng)
         assert np.max(np.abs(a - a.T)) < 1e-12
-        ok, residual = is_unitary_on_window(a, Window.full(n))
+        ok, residual = is_unitary_on_window(a, n - 1)
         assert ok and residual < 1e-12

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conjtoep.core import ExactnessError, Window, random_unitary
+from conjtoep.core import ExactnessError
 from conjtoep.conjugation import (
     AlphaDiagonal,
     BasisSpec,
@@ -12,20 +12,16 @@ from conjtoep.conjugation import (
     FromBasis,
     ThetaXi,
     materialize,
-    shift_from_conjugation,
 )
-from conjtoep.finite import toeplitz_conjugation
 from conjtoep.hardy import (
     LaurentSymbol,
-    ShiftOperator,
-    TruncatedOperator,
     is_toeplitz,
-    s_toeplitz_residual,
     toeplitz_matrix,
 )
 from conjtoep.polydisc import BoxTruncation, PolySymbol, poly_toeplitz
+from conjtoep.symmetry import CheckConfig, check_s_toeplitz_necessary
 
-from oracles import difference_gather
+from oracles import difference_gather, random_unitary
 
 
 def test_constant_symbol_gives_identity():
@@ -61,12 +57,12 @@ def test_truncation_restriction_consistency():
 
 def test_is_toeplitz_accepts_construction():
     t = toeplitz_matrix(LaurentSymbol({-1: 2j, 0: 1, 2: 3}), 6)
-    ok, residual = is_toeplitz(t.matrix, Window.square(5))
+    ok, residual = is_toeplitz(t.matrix, 5)
     assert ok and residual == 0.0
 
 
 def test_is_toeplitz_rejects_varying_diagonal():
-    ok, residual = is_toeplitz(np.diag([1.0, 2.0, 3.0]).astype(complex), Window.full(3))
+    ok, residual = is_toeplitz(np.diag([1.0, 2.0, 3.0]).astype(complex), 2)
     assert not ok and residual >= 1.0
 
 
@@ -77,50 +73,25 @@ def test_is_toeplitz_after_unitary_conjugation_with_symmetric_symbol():
     t = toeplitz_matrix(phi, 12).matrix
     u = conj.coeff
     product = u.conj().T @ t @ u
-    ok, residual = is_toeplitz(product, Window.square(10))
+    ok, residual = is_toeplitz(product, 10)
     assert ok and residual < 1e-12
 
 
 def test_s_toeplitz_zero_for_canonical_shift():
     phi = LaurentSymbol({-2: 1, 0: 2, 1: 1j})
-    t = toeplitz_matrix(phi, 10)
-    s = shift_from_conjugation(materialize(CanonicalJ(), 10))
-    assert s_toeplitz_residual(t, s, Window.square(7)) < 1e-14
-
-
-def test_s_toeplitz_detects_shifting_diagonal():
-    degree = 6
-    d = np.diag(np.arange(degree + 1)).astype(complex)
-    t = TruncatedOperator(d, degree)
-    s = shift_from_conjugation(materialize(CanonicalJ(), degree))
-    # every retained diagonal entry moves by exactly one
-    assert s_toeplitz_residual(t, s, Window(0, 0)) == pytest.approx(1.0, abs=1e-15)
-    w = Window.square(3)
-    assert s_toeplitz_residual(t, s, w) == pytest.approx(2.0, abs=1e-14)  # sqrt(4 * 1)
-
-
-def test_s_toeplitz_holds_for_coordinate_symbol_with_commuting_conjugation():
-    # shift built from the canonical conjugation is coordinate multiplication
-    # itself, so the compression identity holds even though the symbol is
-    # not symmetric
-    phi = LaurentSymbol({1: 1})
-    t = toeplitz_matrix(phi, 12)
-    s = shift_from_conjugation(materialize(CanonicalJ(), 12))
-    assert s_toeplitz_residual(t, s, Window.square(9)) < 1e-14
+    result = check_s_toeplitz_necessary(phi, materialize(CanonicalJ(), 10), CheckConfig(degree=10, window=7))
+    assert result.residual < 1e-14
 
 
 def test_s_toeplitz_window_guard():
     phi = LaurentSymbol({1: 1})
-    t = toeplitz_matrix(phi, 5)
-    s = shift_from_conjugation(materialize(CanonicalJ(), 5))
     with pytest.raises(ExactnessError, match="exactness window violated"):
-        s_toeplitz_residual(t, s, Window.square(5))
+        check_s_toeplitz_necessary(phi, materialize(CanonicalJ(), 5), CheckConfig(degree=5, window=5))
 
 
 def test_s_toeplitz_guard_is_exact_at_its_boundary():
-    # column degree - band of C M_z C is exact for a conjugation of band b
-    # (shift band 2 b + 1): the residual on window degree - band equals the
-    # one at 15 more degrees, and one column more is refused
+    # the S-filter on the default window n - (2 b + band) of a conjugation of
+    # band b equals the one at 15 more degrees, and one index more is refused
     rng = np.random.default_rng(41)
     for trial in range(60):
         n = int(rng.integers(12, 30))
@@ -135,29 +106,15 @@ def test_s_toeplitz_guard_is_exact_at_its_boundary():
             columns[:size] = random_unitary(size, rng)
             family = FromBasis(BasisSpec(columns, n))
         phi = LaurentSymbol({m: complex(*rng.standard_normal(2)) for m in range(-2, 3)})
-        s, big = (shift_from_conjugation(materialize(family, d)) for d in (n, n + 15))
-        w = n - s.band
-        assert s.exact_columns() == w + 1
-        assert s.isometry_defect(w) < 1e-12
-        residual = s_toeplitz_residual(toeplitz_matrix(phi, n), s, Window.square(w))
-        reference = s_toeplitz_residual(toeplitz_matrix(phi, n + 15), big, Window.square(w))
+        conj = materialize(family, n)
+        w = n - (2 * conj.band + 2)
+        residual = check_s_toeplitz_necessary(phi, conj, CheckConfig(degree=n, window=w)).residual
+        big = CheckConfig(degree=n + 15, window=w)
+        reference = check_s_toeplitz_necessary(phi, materialize(family, n + 15), big).residual
+        assert residual == check_s_toeplitz_necessary(phi, conj).residual
         assert residual == pytest.approx(reference, abs=1e-12 * phi.l1_norm())
         with pytest.raises(ExactnessError):
-            s_toeplitz_residual(toeplitz_matrix(phi, n), s, Window.square(w + 1))
-
-
-def test_shift_of_a_full_band_conjugation_has_no_exact_column():
-    # the flip on C^4 has band 3, so C M_z C has band 7 and column 0 is not
-    # the untruncated one (it is zero here)
-    s = shift_from_conjugation(toeplitz_conjugation(3))
-    assert s.band == 7 and s.exact_columns() == 0
-
-
-def test_shift_operator_isometry_metadata():
-    s = shift_from_conjugation(materialize(CanonicalJ(), 8))
-    assert isinstance(s, ShiftOperator)
-    assert s.band == 1
-    assert s.isometry_defect(s.exact_columns() - 1) < 1e-14
+            check_s_toeplitz_necessary(phi, conj, CheckConfig(degree=n, window=w + 1))
 
 
 def test_symbol_json_round_trip():
@@ -176,7 +133,7 @@ def test_symbol_drops_zeros_and_validates():
 def test_degenerate_degree_zero():
     t = toeplitz_matrix(LaurentSymbol({0: 4 + 1j}), 0)
     assert t.matrix.shape == (1, 1)
-    ok, _ = is_toeplitz(t.matrix, Window.full(1))
+    ok, _ = is_toeplitz(t.matrix, 0)
     assert ok
 
 

@@ -4,10 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import conjtoep.conjugation as conjugation
 import conjtoep.polydisc as polydisc
 from conjtoep.conjugation import AlphaDiagonal, BasisSpec, Conjugation, FromBasis, ThetaXi, materialize
-from conjtoep.core import DEFAULT_TOLERANCE, ConjtoepError, Window, random_unitary
+from conjtoep.core import DEFAULT_TOLERANCE, ConjtoepError
 from conjtoep.hardy import LaurentSymbol, toeplitz_matrix
 from conjtoep.polydisc import (
     BoxTruncation,
@@ -20,7 +19,7 @@ from conjtoep.polydisc import (
 )
 from conjtoep.symmetry import FAIL, PASS, CheckConfig, _definition, _make_plan, check_definition
 
-from oracles import dense_definition_residual, doubly_commuting_dense, kron_poly_toeplitz, tilde_mismatch
+from oracles import dense_definition_residual, doubly_commuting_dense, kron_poly_toeplitz, random_unitary, tilde_mismatch
 
 
 def test_flat_enumeration_round_trip():
@@ -316,7 +315,6 @@ def test_polydisc_checks_form_no_dense_matrix(monkeypatch):
         raise AssertionError("a polydisc check formed a dense matrix")
 
     monkeypatch.setattr(polydisc, "poly_toeplitz", refuse)
-    monkeypatch.setattr(conjugation, "shift_columns", refuse)
     box = BoxTruncation((4, 3, 2))
     theta, xi = (0.4, 1.3, 2.2), (0.1, 0.2, 0.3)
     phi = PolySymbol(3, {(1, 0, -1): 1.0, (0, 0, 0): 0.5j})

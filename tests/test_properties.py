@@ -208,7 +208,7 @@ def planted_asymmetry(draw):
 def test_planted_asymmetry_fails_in_every_criterion(instance):
     phi, conj, p = instance
     report = run_all(phi, conj)
-    assert p <= report.window.max_row
+    assert p <= report.window
     assert set(report.criterion_verdicts().values()) == {FAIL}
 
 
@@ -216,7 +216,7 @@ def test_planted_asymmetry_fails_in_every_criterion(instance):
 def test_user_window_narrows_every_criterion(instance, data):
     # the planted defect is inside window w exactly when p <= w
     phi, conj, p = instance
-    default = run_all(phi, conj).window.max_row
+    default = run_all(phi, conj).window
     w = data.draw(st.integers(phi.band, default))
     report = run_all(phi, conj, CheckConfig(degree=conj.degree, window=w))
     assert set(report.criterion_verdicts().values()) == {FAIL if p <= w else PASS}
@@ -250,7 +250,7 @@ def test_default_window_is_exact_for_every_check(instance):
     # degrees change no residual beyond round-off
     phi, family, n = instance
     small = run_all(phi, materialize(family, n))
-    window = small.window.max_row
+    window = small.window
     assert window == n - 2 * materialize(family, n).band - max(phi.band, 1)
     large = run_all(phi, materialize(family, n + 15), CheckConfig(degree=n + 15, window=window))
     scale = max(1.0, phi.l1_norm())

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 import conjtoep.composition as composition
-import conjtoep.conjugation as conjugation
 import conjtoep.hardy as hardy
-import conjtoep.symmetry as symmetry
 from conjtoep.composition import CompositionParams, composition_matrix
 from conjtoep.conjugation import (
     AlphaDiagonal,
@@ -20,7 +18,7 @@ from conjtoep.conjugation import (
     ThetaXi,
     materialize,
 )
-from conjtoep.core import DEFAULT_TOLERANCE, Window, decide, random_symmetric_unitary, random_unitary
+from conjtoep.core import DEFAULT_TOLERANCE, decide
 from conjtoep.finite import (
     _ROUNDOFF_REL,
     FiniteToeplitz,
@@ -28,7 +26,7 @@ from conjtoep.finite import (
     general_symmetry,
     toeplitz_conjugation,
 )
-from conjtoep.hardy import LaurentSymbol, ShiftOperator, s_toeplitz_residual, toeplitz_matrix
+from conjtoep.hardy import LaurentSymbol, toeplitz_matrix
 from conjtoep.polydisc import BoxTruncation, PolySymbol, poly_check_definition, poly_conjugation, poly_toeplitz
 from conjtoep.symmetry import (
     FAIL,
@@ -37,8 +35,8 @@ from conjtoep.symmetry import (
     CheckConfig,
     _coefficient_equations,
     _make_plan,
+    _phi_vectors,
     _xy,
-    build_xy,
     check_coefficient_equations,
     check_conjugated_toeplitz,
     check_definition,
@@ -53,6 +51,8 @@ from oracles import (
     dense_definition_residual,
     finite_asymmetry_residual,
     general_symmetry_residual,
+    random_symmetric_unitary,
+    random_unitary,
     s_toeplitz_filter,
     tilde_mismatch,
     xy_residual,
@@ -196,16 +196,17 @@ def test_xy_matches_coefficient_equations_verdicts():
 
 
 def test_build_xy_shapes_and_zero_columns():
+    # the plan's X/Y systems for a band-6 symbol: on the rows j <= k, the
+    # columns beyond index k vanish
     conj = materialize(ThetaXi(0.9, 0.0), 24)
-    phi = LaurentSymbol({1: 2, -1: 3})
-    k = 3
-    system = build_xy(conj, k, trunc=6, phi=phi, rows=k)
-    assert system.x.shape == (k + 1, 6)
-    assert system.y.shape == (k + 1, 6)
-    # the displayed rows j <= k have zero columns beyond index k
-    assert np.all(system.y[:, k:] == 0)
-    np.testing.assert_array_equal(system.phi_plus, [2, 0, 0, 0, 0, 0])
-    np.testing.assert_array_equal(system.phi_minus, [3, 0, 0, 0, 0, 0])
+    phi = LaurentSymbol({1: 2, -1: 3, 6: 1e-3})
+    x, y = _make_plan(phi, conj, CheckConfig(degree=24, window=6)).xy
+    assert x.shape == y.shape == (7, 7, 6)
+    for k in range(7):
+        assert np.all(y[k, : k + 1, k:] == 0)
+    plus, minus = _phi_vectors(phi, 6)
+    np.testing.assert_array_equal(plus, [2, 0, 0, 0, 0, 1e-3])
+    np.testing.assert_array_equal(minus, [3, 0, 0, 0, 0, 0])
 
 
 def test_build_xy_antisymmetric_pairing():
@@ -213,18 +214,13 @@ def test_build_xy_antisymmetric_pairing():
     # consistent with the k-indexed family
     conj = materialize(AlphaDiagonal((1, np.exp(0.5j), np.exp(1.1j))), 30)
     phi = LaurentSymbol({2: 1 + 1j, -2: 0.5, 1: -2})
-    a = conj.coeff
+    x, y = _make_plan(phi, conj, CheckConfig(degree=30, window=6)).xy
+    plus, minus = _phi_vectors(phi, 2)
+    defect = x @ plus - y @ minus
 
-    def equation(k, j):
-        lhs = sum(
-            phi.coefficient(n - k).conjugate() * a[n, j] for n in range(max(0, k - 2), k + 3)
-        )
-        rhs = sum(phi.coefficient(n).conjugate() * a[k, n + j] for n in range(1, 3))
-        rhs += sum(phi.coefficient(-l).conjugate() * a[k, j - l] for l in range(0, min(j, 2) + 1))
-        return lhs - rhs
-
-    for k, j in [(0, 1), (2, 5), (4, 3), (1, 1)]:
-        assert equation(k, j) == pytest.approx(-equation(j, k), abs=1e-12)
+    for k, j in [(0, 1), (2, 5), (4, 3), (1, 1), (6, 0)]:
+        assert defect[k, j] == pytest.approx(-defect[j, k], abs=1e-12)
+    assert np.max(np.abs(defect)) > 0.1
 
 
 # --- S-Toeplitz necessity ------------------------------------------------------
@@ -308,8 +304,6 @@ def test_no_plan_builds_the_shift(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a plan formed C M_z C")
 
-    monkeypatch.setattr(conjugation, "shift_columns", refuse)
-    monkeypatch.setattr(symmetry, "shift_columns", refuse, raising=False)
     rng = np.random.default_rng(7)
     for kind in ("composition", "basis"):
         phi, conj, _, _ = filter_instance(rng, kind)
@@ -406,12 +400,15 @@ def test_plans_gather_only_the_toeplitz_head(monkeypatch):
 
 
 def test_compression_fails_for_generic_basis_shift():
+    # the conjugation fixing the block basis with its second column twisted
+    # by i swaps z and z^2, so S = C M_z C is no multiple of M_z, and the
+    # coordinate symbol is not S-Toeplitz
     degree = 16
     b = block_basis_columns(degree)
-    s = ShiftOperator(b @ np.eye(degree + 1, k=-1) @ b.conj().T, degree, band=3)
-    t = toeplitz_matrix(LaurentSymbol({1: 1}), degree)
-    residual = s_toeplitz_residual(t, s, Window.square(degree - 1 - 4))
-    assert residual > 0.1
+    b[:, 2] *= 1j
+    conj = materialize(FromBasis(BasisSpec(b, degree)), degree)
+    result = check_s_toeplitz_necessary(LaurentSymbol({1: 1}), conj)
+    assert result.verdict == FAIL and result.residual > 0.1
 
 
 # --- run_all -------------------------------------------------------------------
