@@ -21,7 +21,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .composition import CompositionParams, ScanReport, TrigpolyGrid, scan_trigpoly_theorem
+from .composition import DENSE_WINDOW, CompositionParams, ScanReport, TrigpolyGrid, scan_trigpoly_theorem
 from .conjugation import (
     canonical_factorization,
     is_conjugation,
@@ -172,7 +172,7 @@ def _cmd_factor(args) -> int:
     degree = args.degree
     conj = materialize(family, degree)
     u = canonical_factorization(conj, tol)
-    window = min(8, degree) if conj.band is None else degree
+    window = min(DENSE_WINDOW, degree) if conj.band is None else degree
     tail_bound = unitarity_slack(conj, window)
     ok, residuals = is_conjugation(conj.coeff, window, tol, tail_bound)
     payload = {

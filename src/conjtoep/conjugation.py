@@ -9,9 +9,9 @@ the canonical factorization ``C = U J`` (J = coordinatewise conjugation).
 Each conjugation also carries its ``band`` so downstream residual checks can
 compute exactness windows instead of assuming them: a banded matrix (all
 coefficients vanish beyond ``|m - n| > band``) gives windows by arithmetic,
-and a dense one (``band is None``) gets tail bounds: certified ones for the
-composition family, else the dropped mass of its columns.  A band-0
-conjugation is stored as its diagonal.
+and a dense one (``band is None``), which is always a composition
+conjugation, gets certified tail bounds.  A band-0 conjugation is stored as
+its diagonal, and a composition conjugation as its family and degree alone.
 """
 
 from __future__ import annotations
@@ -73,19 +73,19 @@ class Conjugation:
     """Coefficient matrix of a conjugation plus its band.
 
     ``band`` bounds ``|m - n|`` over the nonzero coefficients of the
-    untruncated matrix; ``None`` means dense.  A map that genuinely lives on
-    C^(degree+1) has band ``degree``.  ``family`` keeps the generating recipe
-    when known so that dense families can be re-materialized at a padded
-    degree for tail-controlled checks.
+    untruncated matrix; ``None`` means dense, which only a ``Composition``
+    ``family`` is: it is kept as that spec and its degree, and read at a
+    padded degree for tail-controlled checks.  A map that genuinely lives on
+    C^(degree+1) has band ``degree``.  ``family`` keeps the recipe when known.
 
-    ``entries`` is the coefficient matrix, except for band 0, where it is
-    the diagonal (a diagonal matrix passed in is reduced to it): finite and
-    of modulus at most 1.  Such a conjugation forms the n x n ``coeff`` only
-    when something reads it; the diagonal kernels of the definition and the
-    polydisc checks never do.
+    ``entries`` is the coefficient matrix (``None`` when dense), except for
+    band 0, where it is the diagonal (a diagonal matrix passed in is reduced
+    to it): finite and of modulus at most 1.  A band-0 or dense conjugation
+    forms the n x n ``coeff`` only when something reads it; the diagonal
+    kernels and the narrow dense plans never do.
     """
 
-    entries: np.ndarray
+    entries: np.ndarray | None
     degree: int
     band: int | None
     family: object | None = None
@@ -93,31 +93,21 @@ class Conjugation:
     notes: tuple = ()
 
     def __post_init__(self):
-        m = np.asarray(self.entries)
-        if self.band != 0:
-            m = require_matrix(m, square=True)
-            if float(np.max(np.abs(m - m.T))) > 1e-9:
-                raise NotConjugationError("coefficient matrix must be symmetric")
-        else:
-            if m.ndim == 2:
-                m = require_matrix(m, square=True)
-                if float(np.max(np.abs(m - np.diag(np.diagonal(m))))) > _OFF_BAND:
-                    raise NotConjugationError("a band-0 coefficient matrix must be diagonal")
-                m = np.diagonal(m)
-            m = np.array(m, dtype=np.complex128)
-            if m.ndim != 1 or not np.all(np.isfinite(m)):
-                raise ConjtoepError("a band-0 conjugation needs a finite diagonal")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-        if m.shape[0] != self.degree + 1:
-            raise ConjtoepError("coefficient matrix size must be degree + 1")
-        if float(np.max(np.abs(m))) > 1.0 + 1e-9:
-            raise NotConjugationError("conjugation coefficients must have modulus at most 1")
+        dense = isinstance(self.family, Composition)
+        if (self.band is None) != dense or (dense and self.entries is not None):
+            raise ConjtoepError("a dense conjugation is a composition family and a degree, with no matrix")
+        if dense and self.degree < 0:
+            raise ConjtoepError("degree must be nonnegative")
+        if not dense:
+            object.__setattr__(self, "entries", _checked(np.asarray(self.entries), self.degree, self.band))
 
     @cached_property
     def coeff(self) -> np.ndarray:
-        """The read-only coefficient matrix ``A``; formed from the diagonal
-        on first read when the band is 0."""
+        """The read-only coefficient matrix ``A``; formed on first read when
+        the band is 0 (from the diagonal) or ``None`` (by the recurrence)."""
+        if self.band is None:
+            matrix = composition_matrix(CompositionParams(self.family.alpha), self.degree)
+            return _checked(matrix, self.degree, None)
         if self.band != 0:
             return self.entries
         m = np.diag(self.entries)
@@ -134,12 +124,6 @@ class Conjugation:
         block[np.arange(width), np.arange(width)] = self.entries[:width]
         return block
 
-    def tails(self, level: int, cols: int) -> np.ndarray:
-        """Column tail bounds ``sqrt(1 - ||col[:level+1]||^2)`` for cols ``0..cols``."""
-        if self.band is not None:
-            return np.zeros(cols + 1)
-        return column_tails(self.coeff, level, cols)
-
     def entry(self, n: int, m: int) -> complex:
         """Coefficient ``c_{n,m} = <C z^n, z^m>`` for ``0 <= n, m <= degree``,
         read from one triangle of ``A`` so that it is exactly symmetric in its
@@ -148,7 +132,32 @@ class Conjugation:
             raise ConjtoepError("coefficient index outside 0..degree")
         if self.band == 0:
             return complex(self.entries[n]) if n == m else 0j
-        return complex(self.entries[max(n, m), min(n, m)])
+        return complex(self.coeff[max(n, m), min(n, m)])
+
+
+def _checked(m: np.ndarray, degree: int, band: int | None) -> np.ndarray:
+    """``m`` made read-only once it passes the checks of a coefficient array:
+    a square symmetric matrix, or for band 0 a finite diagonal (a diagonal
+    matrix is reduced to it), of size ``degree + 1`` and modulus at most 1."""
+    if band != 0:
+        m = require_matrix(m, square=True)
+        if float(np.max(np.abs(m - m.T))) > 1e-9:
+            raise NotConjugationError("coefficient matrix must be symmetric")
+    else:
+        if m.ndim == 2:
+            m = require_matrix(m, square=True)
+            if float(np.max(np.abs(m - np.diag(np.diagonal(m))))) > _OFF_BAND:
+                raise NotConjugationError("a band-0 coefficient matrix must be diagonal")
+            m = np.diagonal(m)
+        m = np.array(m, dtype=np.complex128)
+        if m.ndim != 1 or not np.all(np.isfinite(m)):
+            raise ConjtoepError("a band-0 conjugation needs a finite diagonal")
+    m.setflags(write=False)
+    if m.shape[0] != degree + 1:
+        raise ConjtoepError("coefficient matrix size must be degree + 1")
+    if float(np.max(np.abs(m))) > 1.0 + 1e-9:
+        raise NotConjugationError("conjugation coefficients must have modulus at most 1")
+    return m
 
 
 @dataclass(frozen=True)
@@ -291,8 +300,8 @@ def materialize(spec, degree: int) -> Conjugation:
     """Materialize a family at a truncation degree.
 
     CanonicalJ is the identity and the phase families are diagonal (all
-    three keep only their diagonal); Composition is the dense
-    weighted-composition matrix; FromBasis goes through
+    three keep only their diagonal); Composition keeps only its spec, its
+    dense matrix being formed when read; FromBasis goes through
     ``conjugation_from_fixed_basis``.
     """
     if degree < 0:
@@ -308,9 +317,7 @@ def materialize(spec, degree: int) -> Conjugation:
         diag = np.array([spec.value(k) ** 2 for k in range(n)])
         return Conjugation(diag, degree, 0, spec, "alpha_diag")
     if isinstance(spec, Composition):
-        params = CompositionParams(spec.alpha)
-        matrix = composition_matrix(params, degree)
-        return Conjugation(matrix, degree, None, spec, f"composition(alpha={spec.alpha:g})")
+        return Conjugation(None, degree, None, spec, f"composition(alpha={spec.alpha:g})")
     if isinstance(spec, FromBasis):
         basis = spec.basis
         if degree < basis.degree:
@@ -379,9 +386,10 @@ def is_conjugation(
 
 def unitarity_slack(c: Conjugation, w: int) -> float:
     """Frobenius bound for the unitarity defect a truncation inflicts on the
-    window ``0..w``."""
-    tails = c.tails(c.degree, min(w, c.degree))
-    return float(np.sum(tails**2))
+    window ``0..w``: the floored dropped mass of its columns, 0 when banded."""
+    if c.band is not None:
+        return 0.0
+    return float(np.sum(column_tails(c.coeff, c.degree, min(w, c.degree)) ** 2))
 
 
 def canonical_factorization(c: Conjugation, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
@@ -435,12 +443,11 @@ def working_coefficients(c: Conjugation, cols: int, margin: int, cap: float) -> 
     at a degree whose tail below row ``degree - margin`` meets ``cap``.
 
     A banded conjugation is exact at its own degree, with zero tail.  A
-    composition conjugation pads to the first such degree, or to
+    dense (composition) conjugation pads to the first such degree, or to
     ``PAD_LIMIT`` with the honest tail there for the caller's verdict
-    logic; another dense matrix keeps its degree and dropped-mass tails.
+    logic; it never forms its own ``coeff``.
     """
-    if c.band is None and isinstance(c.family, Composition):
+    if c.band is None:
         params = CompositionParams(c.family.alpha)
         return _working_degree(params, cols=cols, margin=margin, cap=cap, start=c.degree)
-    tail = 0.0 if c.band is not None else float(np.max(c.tails(c.degree - margin, cols)))
-    return c.columns(cols + 1), c.degree, tail
+    return c.columns(cols + 1), c.degree, 0.0

@@ -58,7 +58,7 @@ class ExactnessError(ConjtoepError):
 class Tolerance:
     """Combined absolute/relative comparison tolerance.
 
-    Complex comparison uses ``|x - y| <= absolute + relative * max(|x|, |y|)``.
+    The threshold at a scale is ``absolute + relative * scale``.
     The defaults cover double-precision accumulation over sums of up to
     ~1e4 terms.
     """
@@ -74,9 +74,6 @@ class Tolerance:
 
     def threshold(self, scale: float = 1.0) -> float:
         return self.absolute + self.relative * scale
-
-    def close(self, x: complex, y: complex) -> bool:
-        return abs(x - y) <= self.threshold(max(abs(x), abs(y)))
 
 
 DEFAULT_TOLERANCE = Tolerance()

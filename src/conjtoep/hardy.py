@@ -65,13 +65,6 @@ class LaurentSymbol:
         """Sum of coefficient magnitudes; dominates the operator norm."""
         return float(sum(abs(v) for v in self.coefficients.values()))
 
-    def scaled(self, factor: complex) -> "LaurentSymbol":
-        return LaurentSymbol({n: factor * v for n, v in self.coefficients.items()})
-
-    def plus(self, other: "LaurentSymbol") -> "LaurentSymbol":
-        keys = set(self.coefficients) | set(other.coefficients)
-        return LaurentSymbol({n: self.coefficient(n) + other.coefficient(n) for n in keys})
-
     def to_json(self) -> str:
         return json.dumps(
             {"coeffs": {str(n): [v.real, v.imag] for n, v in sorted(self.coefficients.items())}}

@@ -127,16 +127,6 @@ class BoxTruncation:
         return tuple(sorted(grid, key=lambda k: (sum(k), k)))
 
     @cached_property
-    def _positions(self) -> dict:
-        return {k: i for i, k in enumerate(self.indices)}
-
-    def flat(self, idx) -> int:
-        return self._positions[tuple(idx)]
-
-    def unflat(self, position: int) -> tuple:
-        return self.indices[position]
-
-    @cached_property
     def _index_array(self) -> np.ndarray:
         """The enumeration as a ``(size, d)`` integer array."""
         return np.array(self.indices, dtype=np.intp).reshape(self.size, self.d)

@@ -209,7 +209,9 @@ def _make_plan(phi: LaurentSymbol, conj: Conjugation, config: CheckConfig | None
         window = n - reach
     else:
         window = min(DENSE_WINDOW, n - band - 2)
-    if window < band or window < 0:
+    if window < band:
+        if config.window is not None:
+            raise ConjtoepError(f"window {window} is below the symbol band {band}")
         raise ConjtoepError("degree too small for the requested band")
     # band-0 and band-1 symbols read the same columns, so share a dense block
     cap = threshold / (2.0 * _TAIL_FACTOR * (window + 1) * scale)

@@ -2,12 +2,24 @@
 
 Everything here deliberately avoids the code paths under test: plain loops
 instead of matrix products, series arithmetic instead of closed forms,
-direct formulas instead of coefficient matrices.
+direct formulas instead of coefficient matrices.  ``traced_peak`` is the
+suite's one memory probe.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
+
+
+def traced_peak(call):
+    """``(call(), peak)``: the result of ``call`` and the tracemalloc peak,
+    in bytes, of the allocations made while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_unitary(n, rng):

@@ -183,6 +183,16 @@ def test_window_beyond_the_shift_filter_is_refused(capsys, command):
     assert payload["config"]["window"] == 5
 
 
+def test_a_window_below_the_band_blames_the_window(capsys):
+    conj = ["--conj", '{"family": "composition", "alpha": [0.5, 0]}']
+    # the default dense window at degree 3, min(8, 3 - 1 - 2) = 0, is below the band
+    for args, message in [(['{"coeffs": {"0": [1, 0]}}', "--window", "-1"], "window -1 is below the symbol band 0"),
+                          ([Z_PLUS_ZBAR, "--window", "0"], "window 0 is below the symbol band 1"),
+                          ([Z_PLUS_ZBAR, "--degree", "3"], "degree too small for the requested band")]:
+        assert main(["check", *conj, "--symbol", *args]) == EXIT_INVARIANT
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class _ClosedPipe:
     """A stdout whose reader has gone away; its descriptor is a real file."""
 

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+import conjtoep.conjugation as conjugation
 from conjtoep.core import ConjtoepError
-from conjtoep.composition import TAIL_RESOLUTION, CompositionParams, composition_matrix
+from conjtoep.composition import TAIL_RESOLUTION, CompositionParams, column_tails, composition_matrix
 from conjtoep.conjugation import (
     AlphaDiagonal,
     BasisError,
     BasisSpec,
     CanonicalJ,
     Composition,
+    Conjugation,
     FromBasis,
     NotConjugationError,
     ThetaXi,
@@ -21,6 +23,8 @@ from conjtoep.conjugation import (
     parse_family_spec,
     working_coefficients,
 )
+from conjtoep.hardy import LaurentSymbol
+from conjtoep.symmetry import CheckConfig, run_all
 
 from oracles import apply_alpha_diag, apply_composition_series, apply_fixed_basis, apply_theta_xi
 
@@ -195,8 +199,6 @@ def test_factorization_rejects_non_conjugation():
     bad = materialize(CanonicalJ(), 3)
     broken = bad.coeff.copy()
     broken[0, 0] = 0.2
-    from conjtoep.conjugation import Conjugation
-
     with pytest.raises(NotConjugationError, match="not a conjugation"):
         canonical_factorization(Conjugation(broken, 3, 0))
 
@@ -209,8 +211,6 @@ def test_intertwine_recovers_trivial_lambda():
 
 
 def test_intertwine_recovers_scalar_phase():
-    from conjtoep.conjugation import Conjugation
-
     lam_true = np.exp(1j * np.pi / 3)
     c = Conjugation(lam_true * np.eye(6, dtype=complex), 5, 0)
     basis = BasisSpec(np.eye(6, dtype=complex), 5)
@@ -244,7 +244,7 @@ def test_involution_property_across_families():
             )
     # dense family: involution holds on the window up to the measured tail
     c = materialize(Composition(0.35), 48)
-    tails = c.tails(48, 8)
+    tails = column_tails(c.coeff, 48, 8)
     for _ in range(10):
         x = np.zeros(49, dtype=complex)
         x[:9] = rng.standard_normal(9) + 1j * rng.standard_normal(9)
@@ -275,8 +275,34 @@ def test_entry_reads_one_triangle(spec):
     # a band-0 conjugation reads its diagonal and never forms the matrix
     c = materialize(spec, 8)
     values = np.array([[c.entry(n, m) for m in range(9)] for n in range(9)])
-    assert "coeff" not in c.__dict__
+    if c.band == 0:
+        assert "coeff" not in c.__dict__
     np.testing.assert_array_equal(values, np.tril(c.coeff) + np.tril(c.coeff, -1).T)
+
+
+def test_a_composition_forms_its_matrix_only_when_read(monkeypatch):
+    real = conjugation.composition_matrix
+
+    def leading_columns_only(params, degree, cols=None):
+        assert cols is not None, "the whole composition matrix was formed"
+        return real(params, degree, cols)
+
+    monkeypatch.setattr(conjugation, "composition_matrix", leading_columns_only)
+    conj = materialize(Composition(0.45 - 0.2j), 32)
+    run_all(LaurentSymbol({-1: 0.3, 0: 1.0, 1: 0.2}), conj, CheckConfig(degree=32))
+    assert "coeff" not in conj.__dict__
+    monkeypatch.undo()
+    np.testing.assert_array_equal(conj.coeff, composition_matrix(CompositionParams(0.45 - 0.2j), 32))
+    assert not conj.coeff.flags.writeable
+
+
+def test_a_dense_conjugation_is_a_composition_spec():
+    # a composition has one representation, its spec and degree
+    matrix = composition_matrix(CompositionParams(0.5), 2)
+    for entries, band, family in [(np.eye(3), None, None), (np.eye(3), None, ThetaXi(0.3, 0.1)),
+                                  (matrix, None, Composition(0.5)), (None, 2, Composition(0.5))]:
+        with pytest.raises(ConjtoepError, match="composition family"):
+            Conjugation(entries, 2, band, family)
 
 
 def test_working_coefficients_padding():

@@ -1,5 +1,4 @@
 import cmath
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from conjtoep.hardy import (
 from conjtoep.polydisc import BoxTruncation, PolySymbol, poly_toeplitz
 from conjtoep.symmetry import CheckConfig, check_s_toeplitz_necessary
 
-from oracles import difference_gather, random_unitary
+from oracles import difference_gather, random_unitary, traced_peak
 
 
 def test_constant_symbol_gives_identity():
@@ -152,10 +151,5 @@ def test_blocked_gather_matches_the_full_difference_gather():
 
 def test_gather_needs_no_matrix_sized_index_array():
     phi = LaurentSymbol({1: 0.3 + 0.1j, -2: 0.5, 0: 1.0})
-    tracemalloc.start()
-    try:
-        t = toeplitz_matrix(phi, 1912)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    t, peak = traced_peak(lambda: toeplitz_matrix(phi, 1912))
     assert peak <= 1.15 * t.matrix.nbytes

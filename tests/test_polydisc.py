@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,18 +18,14 @@ from conjtoep.polydisc import (
 )
 from conjtoep.symmetry import FAIL, PASS, CheckConfig, _definition, _make_plan, check_definition
 
-from oracles import dense_definition_residual, doubly_commuting_dense, kron_poly_toeplitz, random_unitary, tilde_mismatch
+from oracles import dense_definition_residual, doubly_commuting_dense, kron_poly_toeplitz, random_unitary, tilde_mismatch, traced_peak
 
 
 def test_flat_enumeration_round_trip():
     box = BoxTruncation((3, 2, 1))
     assert box.size == 4 * 3 * 2
-    seen = set()
-    for position in range(box.size):
-        k = box.unflat(position)
-        assert box.flat(k) == position
-        seen.add(k)
-    assert len(seen) == box.size
+    # every multi-index sits at one position, so the enumeration is a bijection
+    assert [box.indices.index(k) for k in box.indices] == list(range(box.size))
     # graded order: total degree never decreases
     degrees = [sum(k) for k in box.indices]
     assert degrees == sorted(degrees)
@@ -49,7 +44,7 @@ def test_single_coordinate_is_flat_shift():
         up = (l[0] + 1, l[1])
         expected = np.zeros(box.size)
         if up[0] <= 1:
-            expected[box.flat(up)] = 1
+            expected[box.indices.index(up)] = 1
         np.testing.assert_array_equal(t.matrix[:, col], expected)
 
 
@@ -289,8 +284,8 @@ def test_zero_weights_widen_the_wandering_space():
     # a vanishing diagonal entry kills the weights into and out of its mode
     box = BoxTruncation((3, 3))
     diag = np.ones(box.size, dtype=complex)
-    diag[box.flat((1, 1))] = 0.0
-    diag[box.flat((0, 2))] = 0.5j
+    diag[box.indices.index((1, 1))] = 0.0
+    diag[box.indices.index((0, 2))] = 0.5j
     conj = Conjugation(diag, box.size - 1, 0)
     got = doubly_commuting_residual(conj, box)
     want = doubly_commuting_dense(conj.coeff, box.degrees)
@@ -328,14 +323,12 @@ def test_large_box_runs_in_bounded_memory():
     box = BoxTruncation((16, 16, 16))
     theta, xi = (0.3, 1.1, 2.0), (0.1, 0.2, 0.3)
     phi = PolySymbol(3, {(1, 0, -1): 0.5, (0, 0, 0): 1.0, (-2, 1, 0): 0.3j})
-    tracemalloc.start()
-    try:
+
+    def checks():
         conj = poly_conjugation(theta, xi, box)
-        res = poly_check_definition(phi, theta, xi, box)
-        dc = doubly_commuting_residual(conj, box)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return poly_check_definition(phi, theta, xi, box), doubly_commuting_residual(conj, box)
+
+    (res, dc), peak = traced_peak(checks)
     assert box.size == 4913
     assert peak < 64 * 2**20
     assert res.verdict == FAIL and res.window == (14, 15, 15)

@@ -1,6 +1,5 @@
 import cmath
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +54,7 @@ from oracles import (
     random_unitary,
     s_toeplitz_filter,
     tilde_mismatch,
+    traced_peak,
     xy_residual,
 )
 
@@ -346,19 +346,15 @@ def test_wide_user_window_matches_the_dense_oracle():
 
 def test_dense_plan_memory_stays_narrow():
     # at |alpha| = 0.97 the plan pads to degree 2048, where one square
-    # complex array takes 67 MB
+    # complex array takes 67 MB; a spec at degree 3000 is not padded, and its
+    # whole matrix would take 137 MiB
     composition._cached_composition_matrix.cache_clear()
     composition._tails.cache_clear()
-    conj = materialize(Composition(0.97), 32)
     phi = LaurentSymbol({-1: 0.3, 0: 1.0, 1: 0.2j})
-    tracemalloc.start()
-    try:
-        report = run_all(phi, conj)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.work_degree == 2048
-    assert peak < 8 * 2**20
+    for conj, degree, work_degree in [(materialize(Composition(0.97), 32), 32, 2048), (Composition(0.5), 3000, 3000)]:
+        report, peak = traced_peak(lambda: run_all(phi, conj, CheckConfig(degree=degree)))
+        assert report.work_degree == work_degree
+        assert peak < 8 * 2**20
 
 
 def test_plans_gather_only_the_toeplitz_head(monkeypatch):
@@ -511,16 +507,18 @@ def test_criteria_agree_on_random_instances():
         assert report.residuals["transpose_basis"] == report.details["conjugated_toeplitz"]["matrix_residual"]
 
 
+def _twisted_symbol(rng, theta):
+    """A band-3 symbol with ``phi_n = e^{-i n theta} phi_{-n}``, symmetric for ``ThetaXi(theta, xi)``."""
+    minus = {-n: complex(*rng.standard_normal(2)) for n in range(1, 4)}
+    coeffs = {**minus, 0: complex(*rng.standard_normal(2))}
+    return LaurentSymbol({**coeffs, **{n: minus[-n] * np.exp(-1j * n * theta) for n in range(1, 4)}})
+
+
 def test_pass_implies_compression_pass():
     rng = np.random.default_rng(23)
     for _ in range(10):
         theta = float(rng.uniform(0, 2 * np.pi))
-        minus = {-n: complex(*rng.standard_normal(2)) for n in range(1, 4)}
-        coeffs = dict(minus)
-        coeffs[0] = complex(*rng.standard_normal(2))
-        for n in range(1, 4):
-            coeffs[n] = minus[-n] * np.exp(-1j * n * theta)
-        phi = LaurentSymbol(coeffs)
+        phi = _twisted_symbol(rng, theta)
         report = run_all(phi, materialize(ThetaXi(theta, float(rng.uniform(0, 6))), 32))
         assert set(report.criterion_verdicts().values()) == {PASS}
         assert report.verdicts["s_toeplitz"] == PASS
@@ -531,19 +529,11 @@ def test_symmetric_symbols_form_a_linear_space():
     rng = np.random.default_rng(31)
     theta = 2.2
     conj = materialize(ThetaXi(theta, 0.5), 32)
-
-    def symmetric_symbol():
-        minus = {-n: complex(*rng.standard_normal(2)) for n in range(1, 4)}
-        coeffs = dict(minus)
-        coeffs[0] = complex(*rng.standard_normal(2))
-        for n in range(1, 4):
-            coeffs[n] = minus[-n] * np.exp(-1j * n * theta)
-        return LaurentSymbol(coeffs)
-
     for _ in range(5):
-        phi, psi = symmetric_symbol(), symmetric_symbol()
+        phi, psi = _twisted_symbol(rng, theta), _twisted_symbol(rng, theta)
         a, b = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
-        combo = phi.scaled(a).plus(psi.scaled(b))
+        keys = set(phi.coefficients) | set(psi.coefficients)
+        combo = LaurentSymbol({n: a * phi.coefficient(n) + b * psi.coefficient(n) for n in keys})
         report = run_all(combo, conj)
         assert set(report.criterion_verdicts().values()) == {PASS}
 
