@@ -21,14 +21,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .composition import DENSE_WINDOW, CompositionParams, ScanReport, TrigpolyGrid, scan_trigpoly_theorem
-from .conjugation import (
-    canonical_factorization,
-    is_conjugation,
-    materialize,
-    parse_family_spec,
-    unitarity_slack,
-)
+from .composition import CompositionParams, ScanReport, TrigpolyGrid, scan_trigpoly_theorem
+from .conjugation import materialize, parse_family_spec, validate_conjugation
 from .core import ConjtoepError, Tolerance
 from .finite import FiniteToeplitz, finite_symmetry_criterion, general_symmetry, toeplitz_conjugation
 from .hardy import LaurentSymbol
@@ -171,19 +165,17 @@ def _cmd_factor(args) -> int:
         tol = _tolerance(args)
     degree = args.degree
     conj = materialize(family, degree)
-    u = canonical_factorization(conj, tol)
-    window = min(DENSE_WINDOW, degree) if conj.band is None else degree
-    tail_bound = unitarity_slack(conj, window)
-    ok, residuals = is_conjugation(conj.coeff, window, tol, tail_bound)
+    residuals, window, tail_bound = validate_conjugation(conj, tol)
     payload = {
-        "unitary": _matrix_to_json(u),
+        # U = A, the coefficient matrix of C = U J
+        "unitary": _matrix_to_json(conj.coeff),
         "residuals": residuals,
         "window": [window, window],
         "tail_bound": tail_bound,
         "config": {"degree": degree, "tolerance": {"absolute": tol.absolute, "relative": tol.relative}},
     }
     _emit(payload, args)
-    return EXIT_PASS if ok else EXIT_FAIL
+    return EXIT_PASS
 
 
 def _cmd_xy(args) -> int:

@@ -11,9 +11,10 @@ product per block and a carry between blocks, so its Python work per column
 does not grow with the degree; all its weights have modulus at most 1 and
 are rounded once from extended precision, so the blocks are as accurate as
 the row-by-row recurrence.  The tests check the matrix against that
-recurrence and against the power-series expansion of the entries.  Dense
-checks read the recurrence at the first degree whose FFT-certified tail is
-small.
+recurrence and against the power-series expansion of the entries.  One
+tail rule, the FFT-certified ``column_tails``, bounds what a truncation
+drops: dense checks read the recurrence at the first degree whose tail is
+small, and a truncated matrix's unitarity slack comes from the same tails.
 """
 
 from __future__ import annotations
@@ -123,21 +124,6 @@ def composition_matrix(params: CompositionParams, degree: int, cols: int | None 
     return out
 
 
-# A column mass near 1 is uncertain in its last digits, so a tail
-# ``sqrt(1 - mass)`` cannot honestly resolve below this.
-TAIL_RESOLUTION = 3.2e-7
-
-
-def column_tails(matrix: np.ndarray, level: int, cols: int) -> np.ndarray:
-    """Dropped-mass bounds ``sqrt(1 - ||column restricted to 0..level||^2)``:
-    squared, the unitarity defect a truncation at ``level`` inflicts on the
-    unit columns of a conjugation.  Masses are summed in extended precision,
-    where the platform has it, and floored at :data:`TAIL_RESOLUTION`."""
-    squares = np.abs(matrix[: level + 1, : cols + 1]) ** 2
-    mass = np.sum(squares, axis=0, dtype=np.longdouble).astype(np.float64)
-    return np.sqrt(np.maximum(1.0 - mass, TAIL_RESOLUTION**2))
-
-
 # Largest padded degree of a dense plan; past it a check keeps the tail
 # there and may come back inconclusive.
 PAD_LIMIT = 4096
@@ -186,10 +172,11 @@ def _roots_of_unity(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _tails(alpha: complex, count: int) -> np.ndarray:
+def column_tails(alpha: complex, count: int) -> np.ndarray:
     """Certified l2 tails of the leading ``count`` columns: entry ``l`` bounds
     ``sqrt(sum_{j > l} |A[j, k]|^2)`` for every ``k < count`` (the last entry,
-    every deeper level too).  Column ``k`` is the Taylor series of ``psi b^k``,
+    every deeper level too).  Every entry is finite and at most 1, the norm of
+    a column of the unitary.  Column ``k`` is the Taylor series of ``psi b^k``,
     at most ``M = beta/(1 - |a|R) ((R - |a|)/(1 - |a|R))^k`` on ``|z| = R =
     |a|^(-1/2)``, so ``|A[j, k]| <= M R^-j``.  The FFT of its samples on ``m``
     roots of unity gives rows ``0..m-1`` up to the aliasing ``sum_p A[j + pm,
@@ -202,7 +189,8 @@ def _tails(alpha: complex, count: int) -> np.ndarray:
     log_bound = math.log(math.sqrt(1 - r * r) / (1 - root)) + (count - 1) * math.log((1 + root + r) / root)
     need = (log_bound - math.log(_U * math.sqrt(1 - r))) / -math.log(root)
     m = min(_MAX_SAMPLES, max(64, 1 << math.ceil(math.log2(need))))
-    cauchy = math.exp(log_bound + m * math.log(root)) * (1 + 1 / (1 - root**m)) / math.sqrt(1 - r)
+    # a Cauchy term above 1 leaves every tail at the cap, so it is not formed
+    cauchy = math.exp(min(log_bound + m * math.log(root), 0.0)) * (1 + 1 / (1 - root**m)) / math.sqrt(1 - r)
     # the FFT's error (Higham, Accuracy and Stability, Thm 24.2), and per factor
     # 16 units of arithmetic and 32 of node error over 1 - |a| in the samples
     rounding = _U * (1 + 7 * math.log2(m)) + 48 * count * _U_EXT / (1 - r)
@@ -217,7 +205,7 @@ def _tails(alpha: complex, count: int) -> np.ndarray:
         norm = max(norm, math.sqrt(suffix[0]))
         np.maximum(squares[:-1], suffix[1:], out=squares[:-1])
         s *= b
-    tails = np.sqrt(squares * (1 + m * _U)) + cauchy + norm * rounding
+    tails = np.minimum(np.sqrt(squares * (1 + m * _U)) + cauchy + norm * rounding, 1.0)
     tails.setflags(write=False)
     return tails
 
@@ -226,7 +214,7 @@ def _working_degree(params: CompositionParams, cols: int, margin: int, cap: floa
     """The first degree from ``start`` whose tail at level ``degree - margin``
     meets ``cap`` (else :data:`PAD_LIMIT`), bisected since tails never grow,
     with the leading ``cols + 1`` columns there and that tail."""
-    tails = _tails(params.alpha, cols + 1)
+    tails = column_tails(params.alpha, cols + 1)
     first = max(start, cols + margin) - margin
     last = max(PAD_LIMIT - margin, first)
     met = bisect_left(tails, -cap, key=operator.neg)
@@ -267,6 +255,8 @@ class TrigpolyGrid:
 
     @classmethod
     def real_grid(cls, points: int = 21, lo: float = -1.0, hi: float = 1.0) -> "TrigpolyGrid":
+        if points < 1:
+            raise ConjtoepError("scan grid has an empty axis")
         vals = tuple(complex(v) for v in np.linspace(lo, hi, points))
         return cls(vals, vals, vals)
 

@@ -22,12 +22,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .composition import CompositionParams, column_tails, composition_matrix, _working_degree
+from .composition import DENSE_WINDOW, CompositionParams, column_tails, composition_matrix, _working_degree
 from .core import (
     ConjtoepError,
     Tolerance,
     DEFAULT_TOLERANCE,
-    _windowed,
     is_unitary_on_window,
     require_matrix,
 )
@@ -49,6 +48,7 @@ __all__ = [
     "conjugation_from_fixed_basis",
     "is_conjugation",
     "unitarity_slack",
+    "validate_conjugation",
     "canonical_factorization",
     "intertwine_lambda",
     "working_coefficients",
@@ -369,27 +369,42 @@ def conjugation_from_fixed_basis(
 def is_conjugation(
     a, w: int, tol: Tolerance = DEFAULT_TOLERANCE, slack: float = 0.0
 ) -> tuple[bool, dict]:
-    """Symmetric-unitary test on the window ``0..w``.
+    """Symmetric-unitary test: symmetry over the whole matrix, unitarity on
+    the window ``0..w`` up to the ``slack`` of a truncation (:func:`unitarity_slack`).
 
     Returns ``(verdict, {"symmetry": r1, "unitarity": r2})``; a matrix is a
     conjugation coefficient matrix exactly when it is symmetric and unitary
-    (involutivity ``A conj(A) = I`` then follows).  ``slack`` is the
-    unitarity defect a truncation may inflict (:func:`unitarity_slack`).
+    (involutivity ``A conj(A) = I`` then follows).
     """
     a = require_matrix(a, square=True)
-    block = _windowed(a, w)
-    sym = float(np.linalg.norm(block - block.T))
     _, unit = is_unitary_on_window(a, w, tol)
+    sym = float(np.linalg.norm(a - a.T))
     ok = sym <= tol.threshold(1.0) and unit <= tol.threshold(1.0) + slack
     return ok, {"symmetry": sym, "unitarity": unit}
 
 
 def unitarity_slack(c: Conjugation, w: int) -> float:
-    """Frobenius bound for the unitarity defect a truncation inflicts on the
-    window ``0..w``: the floored dropped mass of its columns, 0 when banded."""
+    """Frobenius bound ``(w + 1) t^2`` for the unitarity defect a truncation
+    inflicts on the window ``0..w``, with ``t`` the certified tail of the
+    window's columns below row ``degree``; 0 when banded.  Entry ``(i, j)``
+    of the defect is the inner product of the tails of columns ``i`` and
+    ``j``, since ``A`` is symmetric, so Cauchy-Schwarz bounds it by ``t^2``."""
     if c.band is not None:
         return 0.0
-    return float(np.sum(column_tails(c.coeff, c.degree, min(w, c.degree)) ** 2))
+    tails = column_tails(c.family.alpha, w + 1)
+    return (w + 1) * float(tails[min(c.degree, tails.size - 1)]) ** 2
+
+
+def validate_conjugation(c: Conjugation, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[dict, int, float]:
+    """``(residuals, window, slack)`` of :func:`is_conjugation` on ``c``, else
+    :class:`NotConjugationError`.  The window is the whole degree when ``c``
+    is banded, else ``min(DENSE_WINDOW, degree)`` with the certified slack."""
+    w = c.degree if c.band is not None else min(DENSE_WINDOW, c.degree)
+    slack = unitarity_slack(c, w)
+    ok, residuals = is_conjugation(c.coeff, w, tol, slack)
+    if not ok:
+        raise NotConjugationError("not a conjugation")
+    return residuals, w, slack
 
 
 def canonical_factorization(c: Conjugation, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
@@ -397,11 +412,9 @@ def canonical_factorization(c: Conjugation, tol: Tolerance = DEFAULT_TOLERANCE) 
 
     Since ``C e_n = U e_n``, the unitary is the (read-only) coefficient
     matrix itself acting linearly; there is no gauge freedom.  The input is
-    validated as a conjugation first, with a Parseval slack for dense
-    families, whose truncations cannot be exactly unitary.
+    validated as a conjugation first (:func:`validate_conjugation`).
     """
-    if not is_conjugation(c.coeff, c.degree, tol, unitarity_slack(c, c.degree))[0]:
-        raise NotConjugationError("not a conjugation")
+    validate_conjugation(c, tol)
     return c.coeff
 
 
@@ -428,7 +441,8 @@ def intertwine_lambda(c: Conjugation, basis: BasisSpec, tol: Tolerance = DEFAULT
     lhs = c.coeff[:, 1 : w + 2]
     rhs = b @ shifted
     threshold = tol.threshold(1.0)
-    if float(np.max(np.abs(lhs - rhs))) > threshold:
+    # at degree 0 there is no shift equation to check
+    if float(np.max(np.abs(lhs - rhs), initial=0.0)) > threshold:
         return None
     lam = complex(np.vdot(b[:, 0], c.coeff[:, 0]))
     if abs(abs(lam) - 1.0) > threshold:

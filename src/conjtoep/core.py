@@ -134,11 +134,13 @@ def is_unitary_on_window(a, w: int, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple
     """Check ``a . a^H = I`` restricted to the window ``0..w``.
 
     Returns ``(verdict, residual)`` where the residual is the Frobenius norm
-    of ``(a a^H - I)`` on the window.  The input must be square.
+    of ``(a a^H - I)`` on the window.  The input must be square; only its
+    window rows ``r = a[0..w, :]`` are read, and the block is ``r r^H - I``.
     """
-    a = require_matrix(a, square=True)
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ConjtoepError("expected a square matrix")
     _windowed(a, w)
-    gram = a @ a.conj().T
-    eye = np.eye(a.shape[0], dtype=np.complex128)
-    residual = float(np.linalg.norm(_windowed(gram - eye, w)))
+    rows = require_matrix(a[: w + 1])
+    residual = float(np.linalg.norm(rows @ rows.conj().T - np.eye(w + 1)))
     return residual <= tol.threshold(1.0), residual

@@ -129,16 +129,6 @@ def composition_recurrence(params, degree, cols=None):
     return out
 
 
-def column_tails_fsum(matrix, level, cols, floor):
-    """Column tails ``sqrt(1 - mass)`` with each column mass summed exactly
-    by ``math.fsum``, one column at a time, floored at ``floor``."""
-    out = np.empty(cols + 1)
-    for j in range(cols + 1):
-        mass = math.fsum(abs(complex(v)) ** 2 for v in matrix[: level + 1, j])
-        out[j] = math.sqrt(max(1.0 - mass, floor**2))
-    return out
-
-
 def _truncated_convolve(f, g, terms):
     return np.convolve(f, g)[:terms]
 

@@ -24,8 +24,8 @@ from conjtoep.conjugation import (
     unitarity_slack,
 )
 from conjtoep.finite import FiniteToeplitz, finite_symmetry_criterion, toeplitz_conjugation
-from conjtoep.hardy import LaurentSymbol, toeplitz_matrix
-from conjtoep.polydisc import BoxTruncation, PolySymbol, check_poly_criterion, poly_check_definition, poly_conjugation, poly_toeplitz
+from conjtoep.hardy import LaurentSymbol
+from conjtoep.polydisc import BoxTruncation, PolySymbol, check_poly_criterion, poly_check_definition
 from conjtoep.symmetry import FAIL, PASS, CheckConfig, check_definition, run_all
 
 from oracles import random_unitary, u_entry_oracle

@@ -13,6 +13,7 @@ import pytest
 
 import conjtoep
 import conjtoep.cli as cli
+import conjtoep.conjugation as conjugation
 import conjtoep.symmetry as symmetry
 from conjtoep.cli import (
     EXIT_BAD_INPUT,
@@ -26,7 +27,16 @@ from conjtoep.cli import (
     main,
 )
 from conjtoep.composition import CompositionParams, composition_matrix
-from conjtoep.conjugation import AlphaDiagonal, Composition, Conjugation, ThetaXi, family_spec_to_dict, materialize
+from conjtoep.conjugation import (
+    AlphaDiagonal,
+    Composition,
+    Conjugation,
+    NotConjugationError,
+    ThetaXi,
+    canonical_factorization,
+    family_spec_to_dict,
+    materialize,
+)
 from conjtoep.core import Tolerance
 from conjtoep.hardy import LaurentSymbol
 from conjtoep.symmetry import CheckConfig, CriterionDisagreement, CriterionResult, run_all
@@ -102,6 +112,25 @@ def test_factor_composition_reports_tail(capsys):
     assert payload["residuals"]["symmetry"] <= 1e-12
     assert payload["residuals"]["unitarity"] <= 1e-10 + payload["tail_bound"]
     assert payload["tail_bound"] > 0
+
+
+def test_factor_refuses_a_composition_with_a_shrunk_column(capsys, monkeypatch):
+    # symmetric and a contraction, but row and column 3 are not unit vectors:
+    # a defect of 2.8e-6 against a certified slack far below the threshold
+    real = conjugation.composition_matrix
+
+    def shrunk(params, degree, cols=None):
+        m = real(params, degree, cols)
+        m[3, :] *= 1 - 1e-6
+        m[:, 3] *= 1 - 1e-6
+        return m
+
+    monkeypatch.setattr(conjugation, "composition_matrix", shrunk)
+    with pytest.raises(NotConjugationError, match="not a conjugation"):
+        canonical_factorization(materialize(Composition(0.5), 200))
+    code = main(["factor", "--conj", '{"family": "composition", "alpha": [0.5, 0]}', "--degree", "200"])
+    assert code == EXIT_INVARIANT
+    assert "not a conjugation" in capsys.readouterr().err
 
 
 def test_xy_constant_symbol(capsys):
@@ -361,9 +390,10 @@ def test_error_after_parsing_exits_70(capsys, monkeypatch):
 
 
 def test_empty_scan_grid_exits_65(capsys):
-    code = main(["scan-trigpoly", "--alpha", "0.5", "--grid-points", "0"])
-    assert code == EXIT_INVARIANT
-    assert "empty" in capsys.readouterr().err
+    for points in ("0", "-1"):
+        code = main(["scan-trigpoly", "--alpha", "0.5", "--grid-points", points])
+        assert code == EXIT_INVARIANT
+        assert "empty" in capsys.readouterr().err
 
 
 SPEC_ARGS = {
@@ -385,26 +415,20 @@ FLAG_VALUES = {
     "--box": "2,2",
     "--tol-abs": "0.5",
     "--tol-rel": "0.5",
-    "--kmax": "1",
     "--window": "1",
 }
 UNREAD_FLAGS = [
     ("check", "--box"),
-    ("check", "--kmax"),
     ("check-poly", "--degree"),
-    ("check-poly", "--kmax"),
     ("check-poly", "--window"),
     ("check-finite", "--degree"),
     ("check-finite", "--box"),
     ("check-finite", "--tol-abs"),
     ("check-finite", "--tol-rel"),
-    ("check-finite", "--kmax"),
     ("check-finite", "--window"),
     ("factor", "--box"),
-    ("factor", "--kmax"),
     ("factor", "--window"),
     ("xy", "--box"),
-    ("xy", "--kmax"),
 ]
 
 

@@ -11,7 +11,7 @@ from conjtoep.core import (
 from conjtoep.conjugation import is_conjugation
 from conjtoep.hardy import is_toeplitz
 
-from oracles import random_symmetric_unitary, random_unitary
+from oracles import random_symmetric_unitary, random_unitary, traced_peak
 
 
 @pytest.mark.parametrize("check", [is_unitary_on_window, is_conjugation, is_toeplitz])
@@ -51,6 +51,16 @@ def test_unitary_rejects_shrunk_diagonal():
 def test_unitary_requires_square():
     with pytest.raises(ConjtoepError):
         is_unitary_on_window(np.ones((2, 3), dtype=complex), 1)
+
+
+def test_unitary_window_reads_only_its_rows():
+    # a 2001 x 2001 Gram matrix alone would take 61 MiB
+    a = np.zeros((2001, 2001), dtype=complex)
+    a[np.arange(2001), np.arange(2001)[::-1]] = 1j
+    a.setflags(write=False)
+    (ok, residual), peak = traced_peak(lambda: is_unitary_on_window(a, 8))
+    assert ok and residual == 0.0
+    assert peak < 2**20
 
 
 def test_unitary_verdict_agrees_with_transpose_on_symmetric_window():

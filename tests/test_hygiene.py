@@ -1,7 +1,7 @@
 """Static hygiene of the package source, checked with the standard ``ast``
-module: no unused module-level import, no ``__all__`` entry its module does
-not define, and every name ``conjtoep`` exports listed in its module's
-``__all__``."""
+module: no unused module-level import (in the tests too), no ``__all__``
+entry its module does not define, and every name ``conjtoep`` exports
+listed in its module's ``__all__``."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "conjtoep"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _tree(path):
@@ -34,7 +35,7 @@ def _all(tree):
     return []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_module_level_import(path):
     tree = _tree(path)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(_all(tree))

@@ -349,7 +349,7 @@ def test_dense_plan_memory_stays_narrow():
     # complex array takes 67 MB; a spec at degree 3000 is not padded, and its
     # whole matrix would take 137 MiB
     composition._cached_composition_matrix.cache_clear()
-    composition._tails.cache_clear()
+    composition.column_tails.cache_clear()
     phi = LaurentSymbol({-1: 0.3, 0: 1.0, 1: 0.2j})
     for conj, degree, work_degree in [(materialize(Composition(0.97), 32), 32, 2048), (Composition(0.5), 3000, 3000)]:
         report, peak = traced_peak(lambda: run_all(phi, conj, CheckConfig(degree=degree)))
@@ -372,7 +372,7 @@ def test_plans_gather_only_the_toeplitz_head(monkeypatch):
         return build(params, degree, cols)
 
     composition._cached_composition_matrix.cache_clear()
-    composition._tails.cache_clear()
+    composition.column_tails.cache_clear()
     rng = np.random.default_rng(5)
     columns = np.zeros((41, 3), dtype=complex)
     columns[:3] = random_unitary(3, rng)
