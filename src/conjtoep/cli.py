@@ -9,6 +9,14 @@ exclusively for mathematical-equivalence violations so CI can tell library
 bugs from bad inputs.  Every command builds its input objects in one parse
 step, and only a shape error there counts as malformed input; the same
 exception raised later is unexpected.
+
+An in-process :func:`main` builds one parser per process, on its first call,
+and only reads it afterwards: each call fills a fresh namespace with its own
+defaults, so one call's flags never reach the next, and concurrent calls may
+share it (two first calls that race may each build one; one is kept).  Each
+command's ``func`` is bound when that parser is built, so patching a
+``_cmd_*`` function after the first call has no effect.  :func:`build_parser`
+returns a fresh parser.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from functools import cache
 
 import numpy as np
 
@@ -268,6 +277,7 @@ def _cmd_scan_trigpoly(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for every command; :func:`main` builds one per process."""
     parser = _Parser(
         prog="conjtoep",
         description="Decide complex symmetry of (truncated) Toeplitz operators "
@@ -320,9 +330,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads, built on first use rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         # decide and require_matrix refuse every non-finite value, so numpy's
         # own warnings about producing one would only repeat the error line
         with np.errstate(over="ignore", invalid="ignore"):

@@ -182,7 +182,10 @@ def column_tails(alpha: complex, count: int) -> np.ndarray:
     roots of unity gives rows ``0..m-1`` up to the aliasing ``sum_p A[j + pm,
     k]`` (Henrici, SIAM Rev. 21, 1979); a tail is their suffix sum plus the
     Cauchy bounds on the aliasing and on the rows past ``m``, which the power
-    of two ``m`` brings to the unit round-off, plus round-off."""
+    of two ``m`` brings to the unit round-off, plus round-off.  ``count``
+    must be positive."""
+    if count < 1:
+        raise ConjtoepError("count must be positive")
     r = abs(alpha)
     root = math.sqrt(r)
     # log M, with (R - |a|)/(1 - |a|R) = (1 + |a|^(1/2) + |a|)/|a|^(1/2)

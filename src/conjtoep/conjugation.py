@@ -398,10 +398,18 @@ def unitarity_slack(c: Conjugation, w: int) -> float:
 def validate_conjugation(c: Conjugation, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[dict, int, float]:
     """``(residuals, window, slack)`` of :func:`is_conjugation` on ``c``, else
     :class:`NotConjugationError`.  The window is the whole degree when ``c``
-    is banded, else ``min(DENSE_WINDOW, degree)`` with the certified slack."""
+    is banded, else ``min(DENSE_WINDOW, degree)`` with the certified slack.
+    A band-0 conjugation is decided from its diagonal ``d`` without forming
+    ``coeff``: its symmetry residual is 0 and its Gram on the window is
+    ``diag(|d|^2)``, so its unitarity residual is ``||d conj(d) - 1||``."""
     w = c.degree if c.band is not None else min(DENSE_WINDOW, c.degree)
     slack = unitarity_slack(c, w)
-    ok, residuals = is_conjugation(c.coeff, w, tol, slack)
+    if c.band == 0:
+        d = c.entries[: w + 1]
+        unit = float(np.linalg.norm(d * d.conj() - 1))
+        ok, residuals = unit <= tol.threshold(1.0), {"symmetry": 0.0, "unitarity": unit}
+    else:
+        ok, residuals = is_conjugation(c.coeff, w, tol, slack)
     if not ok:
         raise NotConjugationError("not a conjugation")
     return residuals, w, slack

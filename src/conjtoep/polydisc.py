@@ -83,7 +83,11 @@ class PolySymbol:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PolySymbol":
-        d = int(data["d"])
+        """Parse ``{"d": int, "coeffs": {"k1,...,kd": [re, im]}}``; ``d`` must
+        be a JSON integer, never a float, boolean or string coerced to one."""
+        d = data["d"]
+        if type(d) is not int:
+            raise ConjtoepError(f"d must be an integer, got {d!r}")
         coeffs = {}
         for key, (re, im) in data["coeffs"].items():
             idx = tuple(int(part) for part in key.split(","))

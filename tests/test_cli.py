@@ -322,6 +322,19 @@ def test_check_finite_non_integer_size_exits_65(capsys):
         assert "N must be an integer" in captured.err
 
 
+def test_check_poly_non_integer_dimension_exits_65(capsys):
+    for d in ("2.7", "2.0", "true", '"2"', "null"):
+        code = main([
+            "check-poly", "--symbol", '{"d": %s, "coeffs": {"1,0": [1, 0]}}' % d,
+            "--conj", '{"family": "poly_theta_xi", "theta": [0, 0], "xi": [0, 0]}', "--box", "2,2",
+        ])
+        assert code == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "d must be an integer" in captured.err
+
+
 def test_scan_trigpoly_small(capsys):
     code, payload = run(
         capsys,
@@ -631,3 +644,41 @@ def test_exit_codes_are_deterministic(capsys):
         codes.add(main(["check", "--symbol", Z_PLUS_ZBAR, "--conj", THETA_PI]))
         capsys.readouterr()
     assert codes == {EXIT_FAIL}
+
+
+def test_main_builds_one_parser_and_reuses_it(capsys, monkeypatch):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    check = ["check", "--symbol", Z_MINUS_ZBAR, "--conj", THETA_PI]
+    assert main(check) == EXIT_PASS
+    first = capsys.readouterr().out
+    assert main(["xy", "--symbol", Z_MINUS_ZBAR, "--conj", THETA_PI, "--window", "3"]) == EXIT_PASS
+    assert main([*check, "--no-such-flag"]) == EXIT_BAD_INPUT
+    with pytest.raises(SystemExit) as info:
+        main(["check", "--help"])
+    assert info.value.code == 0
+    bad_alpha = '{"family": "composition", "alpha": [1.5, 0]}'
+    assert main(["check", "--symbol", Z_MINUS_ZBAR, "--conj", bad_alpha]) == EXIT_INVARIANT
+    with monkeypatch.context() as patched:
+        _forced_disagreement(patched)
+        constant = ["check", "--symbol", CONSTANT.to_json(), "--conj", THETA_PI]
+        assert main(constant) == EXIT_DISAGREEMENT
+    capsys.readouterr()
+    # nothing an earlier call parsed, such as its --window 3, reaches this one
+    assert main(check) == EXIT_PASS
+    assert capsys.readouterr().out == first
+    assert built == [1]
+
+
+def test_adding_to_a_built_parser_leaves_main_unchanged(capsys):
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    commands.choices["check"].add_argument("--extra")
+    assert main(["check", "--symbol", Z_MINUS_ZBAR, "--conj", THETA_PI, "--extra", "x"]) == EXIT_BAD_INPUT
+    assert "--extra" in capsys.readouterr().err

@@ -145,6 +145,12 @@ def test_composition_matrix_refuses_empty_widths_before_allocating():
             composition_matrix(CompositionParams(0.5), 10**12, cols)
 
 
+def test_column_tails_refuse_an_empty_count():
+    for count in (0, -3):
+        with pytest.raises(ConjtoepError, match="count must be positive"):
+            column_tails(0.5, count)
+
+
 def test_padded_tails_are_measured_once_per_degree(monkeypatch):
     # the tails of one (alpha, column count) are measured once, one FFT per
     # column, for every degree; a second decision ends on the same block,

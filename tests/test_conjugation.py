@@ -21,9 +21,11 @@ from conjtoep.conjugation import (
     is_conjugation,
     materialize,
     parse_family_spec,
+    validate_conjugation,
     working_coefficients,
 )
 from conjtoep.hardy import LaurentSymbol
+from conjtoep.polydisc import BoxTruncation, poly_conjugation
 from conjtoep.symmetry import CheckConfig, run_all
 
 from oracles import apply_alpha_diag, apply_composition_series, apply_fixed_basis, apply_theta_xi
@@ -169,6 +171,43 @@ def test_is_conjugation_examples():
     assert ok
     ok, residuals = is_conjugation(np.array([[0, 1], [-1, 0]], dtype=complex), 1)
     assert not ok and residuals["symmetry"] > 1
+
+
+def _diagonal_conjugations(degree):
+    yield materialize(CanonicalJ(), degree)
+    yield materialize(ThetaXi(2.1, -0.3), degree)
+    yield materialize(AlphaDiagonal((1j, np.exp(0.7j), -1), period=2), degree)
+    side = round((degree + 1) ** 0.5) - 1
+    yield poly_conjugation((0.4, -1.3), (0.2, 0.5), BoxTruncation((side, side)))
+
+
+def test_band_zero_validation_reads_the_diagonal(monkeypatch):
+    # the Gram route on the whole matrix is the reference; band 0 never takes it
+    reference = {}
+    for degree in (0, 1, 7, 64, 256):
+        for c in _diagonal_conjugations(degree):
+            reference[c.label, c.degree] = is_conjugation(c.coeff, c.degree)[1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("band 0 formed a Gram")
+
+    monkeypatch.setattr(conjugation, "is_unitary_on_window", refuse)
+    for degree in (0, 1, 7, 64, 256):
+        for c in _diagonal_conjugations(degree):
+            residuals, window, slack = validate_conjugation(c)
+            assert "coeff" not in c.__dict__ and (window, slack) == (c.degree, 0.0)
+            want = reference[c.label, c.degree]
+            assert residuals["symmetry"] == want["symmetry"] == 0.0
+            # each |d_k|^2 - 1 is rounded within a few units either way
+            bound = 4 * np.finfo(float).eps * (c.degree + 1) ** 0.5
+            assert abs(residuals["unitarity"] - want["unitarity"]) <= bound, (c.label, degree)
+
+
+def test_band_zero_validation_refuses_a_shrunk_entry():
+    d = np.ones(65, dtype=complex)
+    d[9] = 1 - 1e-6
+    with pytest.raises(NotConjugationError, match="not a conjugation"):
+        validate_conjugation(Conjugation(d, 64, 0))
 
 
 def test_factorization_of_canonical_is_identity():

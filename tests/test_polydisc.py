@@ -198,6 +198,12 @@ def test_symbol_json_round_trip():
     assert again.band == (1, 3)
 
 
+@pytest.mark.parametrize("d", [2.7, 2.0, True, "2", None])
+def test_symbol_dimension_must_be_a_json_integer(d):
+    with pytest.raises(ConjtoepError, match="d must be an integer"):
+        PolySymbol.from_json_dict({"d": d, "coeffs": {"1,0": [1, 0]}})
+
+
 def test_dimension_validation():
     with pytest.raises(ConjtoepError):
         PolySymbol(2, {(1,): 1})
