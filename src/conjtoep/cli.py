@@ -8,7 +8,10 @@ closed stdout pipe or an unwritable ``--out`` path).  Code 3 is reserved
 exclusively for mathematical-equivalence violations so CI can tell library
 bugs from bad inputs.  Every command builds its input objects in one parse
 step, and only a shape error there counts as malformed input; the same
-exception raised later is unexpected.
+exception raised later is unexpected; a boolean, string or null where a
+number belongs, or a non-integer size, is an invariant violation.  Each
+command returns its report and verdict, which :func:`main` alone writes and
+maps to the exit code.
 
 An in-process :func:`main` builds one parser per process, on its first call,
 and only reads it afterwards: each call fills a fresh namespace with its own
@@ -26,13 +29,14 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from functools import cache
 
 import numpy as np
 
-from .composition import CompositionParams, ScanReport, TrigpolyGrid, scan_trigpoly_theorem
+from .composition import CompositionParams, TrigpolyGrid, scan_trigpoly_theorem
 from .conjugation import materialize, parse_family_spec, validate_conjugation
-from .core import ConjtoepError, Tolerance
+from .core import ConjtoepError, Tolerance, require_number, require_pair
 from .finite import FiniteToeplitz, finite_symmetry_criterion, general_symmetry, toeplitz_conjugation
 from .hardy import LaurentSymbol
 from .polydisc import BoxTruncation, PolySymbol, check_poly_criterion, poly_check_definition
@@ -157,23 +161,19 @@ def _one_variable_inputs(args):
     return phi, materialize(family, args.degree), config
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[dict, str]:
     phi, conj, config = _one_variable_inputs(args)
     report = run_all(phi, conj, config)
     payload = report.to_json_dict()
-    payload["config"] = {
-        "degree": config.degree, "window": payload["window"][0], "tolerance": payload["tolerance"]
-    }
-    _emit(payload, args)
-    return _exit_from_overall(report.overall())
+    payload["config"] = {"degree": config.degree, "window": payload["window"][0], "tolerance": payload["tolerance"]}
+    return payload, report.overall()
 
 
-def _cmd_factor(args) -> int:
+def _cmd_factor(args) -> tuple[dict, str]:
     with _parsing():
         family = parse_family_spec(_load_json_arg(args.conj))
         tol = _tolerance(args)
-    degree = args.degree
-    conj = materialize(family, degree)
+    conj = materialize(family, args.degree)
     residuals, window, tail_bound = validate_conjugation(conj, tol)
     payload = {
         # U = A, the coefficient matrix of C = U J
@@ -181,13 +181,12 @@ def _cmd_factor(args) -> int:
         "residuals": residuals,
         "window": [window, window],
         "tail_bound": tail_bound,
-        "config": {"degree": degree, "tolerance": {"absolute": tol.absolute, "relative": tol.relative}},
+        "config": {"degree": args.degree, "tolerance": asdict(tol)},
     }
-    _emit(payload, args)
-    return EXIT_PASS
+    return payload, PASS
 
 
-def _cmd_xy(args) -> int:
+def _cmd_xy(args) -> tuple[dict, str]:
     phi, conj, config = _one_variable_inputs(args)
     plan = _make_plan(phi, conj, config)
     outcome = _xy(plan)
@@ -200,20 +199,20 @@ def _cmd_xy(args) -> int:
         "verdict": outcome.verdict,
         "residual": outcome.residual,
         "systems": systems,
-        "config": {"degree": config.degree, "window": plan.window, "trunc": outcome.details["trunc"]},
+        "config": {"degree": config.degree, "window": plan.window, "trunc": outcome.details["trunc"],
+                   "tolerance": asdict(config.tolerance)},
     }
-    _emit(payload, args)
-    return _exit_from_overall(outcome.verdict)
+    return payload, outcome.verdict
 
 
-def _cmd_check_poly(args) -> int:
+def _cmd_check_poly(args) -> tuple[dict, str]:
     with _parsing():
         phi = PolySymbol.from_json_dict(_load_json_arg(args.symbol))
         conj_data = _load_json_arg(args.conj)
         if conj_data.get("family") != "poly_theta_xi":
             raise _InputError('check-poly expects {"family": "poly_theta_xi", "theta": [...], "xi": [...]}')
-        theta = [float(t) for t in conj_data["theta"]]
-        xi = [float(x) for x in conj_data["xi"]]
+        theta = [require_number(t, "theta") for t in conj_data["theta"]]
+        xi = [require_number(x, "xi") for x in conj_data["xi"]]
         box = BoxTruncation(tuple(int(part) for part in args.box.split(",")))
         tol = _tolerance(args)
     coeff_verdict, coeff_residual = check_poly_criterion(phi, theta, tol)
@@ -223,14 +222,12 @@ def _cmd_check_poly(args) -> int:
         "residuals": {"coefficient": coeff_residual, "definition": definition.residual},
         "tilde_mismatch": definition.tilde_mismatch,
         "window": list(definition.window),
-        "config": {"box": list(box.degrees), "tolerance": {"absolute": tol.absolute, "relative": tol.relative}},
+        "config": {"box": list(box.degrees), "tolerance": asdict(tol)},
     }
-    _emit(payload, args)
-    both_pass = coeff_verdict == PASS and definition.verdict == PASS
-    return EXIT_PASS if both_pass else EXIT_FAIL
+    return payload, PASS if coeff_verdict == definition.verdict == PASS else FAIL
 
 
-def _cmd_check_finite(args) -> int:
+def _cmd_check_finite(args) -> tuple[dict, str]:
     with _parsing():
         t = FiniteToeplitz.from_json_dict(_load_json_arg(args.symbol))
         conj_data = _load_json_arg(args.conj)
@@ -240,40 +237,34 @@ def _cmd_check_finite(args) -> int:
     ok, residual = finite_symmetry_criterion(t, conj)
     ok_general, residual_general = general_symmetry(t.matrix(), conj)
     payload = {
-        "verdicts": {
-            "coefficient": PASS if ok else FAIL,
-            "general": PASS if ok_general else FAIL,
-        },
+        "verdicts": {"coefficient": PASS if ok else FAIL, "general": PASS if ok_general else FAIL},
         "residuals": {"coefficient": residual, "general": residual_general},
         "config": {"N": n},
     }
-    _emit(payload, args)
-    return EXIT_PASS if ok and ok_general else EXIT_FAIL
+    return payload, PASS if ok and ok_general else FAIL
 
 
-def _cmd_scan_trigpoly(args) -> int:
+def _cmd_scan_trigpoly(args) -> tuple[dict, str]:
     with _parsing():
-        data = _load_json_arg(args.alpha) if args.alpha.startswith(("@", "{")) else None
-        if data is not None:
-            re, im = data["alpha"]
-            alpha = complex(re, im)
+        if args.alpha.startswith(("@", "{")):
+            alpha = require_pair(_load_json_arg(args.alpha)["alpha"], "alpha")
         else:
-            parts = args.alpha.split(",")
-            alpha = complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
+            # re or re,im: complex() refuses a third part as malformed input
+            alpha = complex(*map(float, args.alpha.split(",")))
         params = CompositionParams(alpha)
         grid = TrigpolyGrid.real_grid(points=args.grid_points, lo=args.grid_lo, hi=args.grid_hi)
-        degree = args.degree if args.degree is not None else 24
-    report: ScanReport = scan_trigpoly_theorem(params, grid, _tolerance(args), degree=degree)
+        tol = _tolerance(args)
+    report = scan_trigpoly_theorem(params, grid, tol, degree=args.degree)
     payload = {
         "alpha": [alpha.real, alpha.imag],
         "total_points": report.total_points,
         "locus_points": report.locus_points,
         "passing": [[[c.real, c.imag] for c in point] for point in report.passing],
         "theorem_reproduced": report.theorem_reproduced,
-        "config": {"degree": degree, "grid_points": args.grid_points},
+        "config": {"degree": args.degree, "grid_points": args.grid_points, "grid_lo": args.grid_lo,
+                   "grid_hi": args.grid_hi, "tolerance": asdict(tol)},
     }
-    _emit(payload, args)
-    return EXIT_PASS if report.theorem_reproduced else EXIT_FAIL
+    return payload, PASS if report.theorem_reproduced else FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--grid-points", type=int, default=21)
     p_scan.add_argument("--grid-lo", type=float, default=-1.0)
     p_scan.add_argument("--grid-hi", type=float, default=1.0)
-    p_scan.add_argument("--degree", type=int, default=None)
+    p_scan.add_argument("--degree", type=int, default=24)
 
     return parser
 
@@ -342,7 +333,9 @@ def main(argv=None) -> int:
         # decide and require_matrix refuse every non-finite value, so numpy's
         # own warnings about producing one would only repeat the error line
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            payload, verdict = args.func(args)
+        _emit(payload, args)
+        return _exit_from_overall(verdict)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -263,18 +263,13 @@ class TrigpolyGrid:
         vals = tuple(complex(v) for v in np.linspace(lo, hi, points))
         return cls(vals, vals, vals)
 
-    def size(self) -> int:
-        return len(self.minus) * len(self.zero) * len(self.plus)
-
 
 @dataclass(frozen=True)
 class ScanReport:
-    alpha: complex
     total_points: int
     passing: tuple
     locus_points: int
     theorem_reproduced: bool
-    details: dict = field(default_factory=dict)
 
 
 def scan_trigpoly_theorem(
@@ -320,10 +315,8 @@ def scan_trigpoly_theorem(
 
     reproduced = set(passing) == {p for p in points if p[0] == 0 and p[2] == 0}
     return ScanReport(
-        alpha=params.alpha,
         total_points=len(points),
         passing=tuple(passing),
         locus_points=len(locus),
         theorem_reproduced=reproduced,
-        details={"degree": degree},
     )

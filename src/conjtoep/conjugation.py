@@ -28,7 +28,10 @@ from .core import (
     Tolerance,
     DEFAULT_TOLERANCE,
     is_unitary_on_window,
+    require_integer,
     require_matrix,
+    require_number,
+    require_pair,
 )
 
 __all__ = [
@@ -201,7 +204,7 @@ class AlphaDiagonal:
         object.__setattr__(self, "alphas", vals)
         if not vals:
             raise ConjtoepError("alpha sequence must be nonempty")
-        p = self.period if self.period is not None else len(vals)
+        p = len(vals) if self.period is None else require_integer(self.period, "period")
         if not 1 <= p <= len(vals):
             raise ConjtoepError("period must lie in 1..len(alphas)")
         for a in vals:
@@ -261,13 +264,12 @@ def parse_family_spec(data: dict):
     if kind == "canonical_j":
         return CanonicalJ()
     if kind == "theta_xi":
-        return ThetaXi(float(data["theta"]), float(data["xi"]))
+        return ThetaXi(require_number(data["theta"], "theta"), require_number(data["xi"], "xi"))
     if kind == "alpha_diag":
-        alphas = tuple(complex(re, im) for re, im in data["alphas"])
+        alphas = tuple(require_pair(a, "alphas") for a in data["alphas"])
         return AlphaDiagonal(alphas, data.get("period"))
     if kind == "composition":
-        re, im = data["alpha"]
-        return Composition(complex(re, im))
+        return Composition(require_pair(data["alpha"], "alpha"))
     if kind == "basis":
         cols = data["columns"]
         length = len(cols[0])
@@ -275,7 +277,7 @@ def parse_family_spec(data: dict):
         for j, col in enumerate(cols):
             if len(col) != length:
                 raise ConjtoepError("basis columns must share one length")
-            matrix[:, j] = [complex(re, im) for re, im in col]
+            matrix[:, j] = [require_pair(v, "columns") for v in col]
         return FromBasis(BasisSpec(matrix, length - 1))
     raise ConjtoepError(f"unknown family {kind!r}")
 

@@ -30,6 +30,9 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "decide",
     "require_coefficient",
+    "require_number",
+    "require_pair",
+    "require_integer",
     "require_matrix",
     "is_unitary_on_window",
 ]
@@ -99,6 +102,27 @@ def require_coefficient(value) -> complex:
     value = complex(value)
     if not cmath.isfinite(value):
         raise ConjtoepError("symbol coefficients must be finite")
+    return value
+
+
+def require_number(value, name: str) -> float:
+    """A JSON number as a float, never a boolean, string or null coerced to one."""
+    if value is None or isinstance(value, (bool, str)):
+        raise ConjtoepError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def require_pair(value, name: str) -> complex:
+    """An ``[re, im]`` pair of JSON numbers as a complex number."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise TypeError(f"{name} must be an [re, im] pair, got {value!r}")
+    return complex(require_number(value[0], name), require_number(value[1], name))
+
+
+def require_integer(value, name: str) -> int:
+    """A JSON integer, never a float, boolean or string coerced to one."""
+    if type(value) is not int:
+        raise ConjtoepError(f"{name} must be an integer, got {value!r}")
     return value
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conjugation import Conjugation, canonical_factorization
-from .core import ConjtoepError, require_coefficient, require_matrix
+from .core import ConjtoepError, require_integer, require_matrix, require_pair
 from .hardy import LaurentSymbol, toeplitz_matrix
 from .symmetry import coefficient_defect, transpose_defect
 
@@ -36,15 +36,9 @@ class FiniteToeplitz:
     def __post_init__(self):
         if self.size_minus_one < 0:
             raise ConjtoepError("size must be positive")
-        cleaned = {}
-        for k, v in self.a.items():
-            k = int(k)
-            if abs(k) > self.size_minus_one:
-                raise ConjtoepError("diagonal index outside the matrix")
-            v = require_coefficient(v)
-            if v != 0:
-                cleaned[k] = v
-        object.__setattr__(self, "a", cleaned)
+        if any(abs(int(k)) > self.size_minus_one for k in self.a):
+            raise ConjtoepError("diagonal index outside the matrix")
+        object.__setattr__(self, "a", LaurentSymbol(self.a).coefficients)
 
     def value(self, k: int) -> complex:
         return self.a.get(k, 0j)
@@ -67,12 +61,9 @@ class FiniteToeplitz:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteToeplitz":
-        """Parse ``{"N": int, "a": {k: [re, im]}}``; ``N`` must be a JSON
-        integer, never a float, boolean or string coerced to one."""
-        size = data["N"]
-        if type(size) is not int:
-            raise ConjtoepError(f"N must be an integer, got {size!r}")
-        return cls(size, {int(k): complex(re, im) for k, (re, im) in data["a"].items()})
+        """Parse ``{"N": int, "a": {k: [re, im]}}``."""
+        size = require_integer(data["N"], "N")
+        return cls(size, {int(k): require_pair(v, "coefficient") for k, v in data["a"].items()})
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteToeplitz":

@@ -19,6 +19,7 @@ from .core import (
     _windowed,
     require_coefficient,
     require_matrix,
+    require_pair,
 )
 
 # Index differences gathered per block of rows in toeplitz_gather (2 MiB of int64).
@@ -72,8 +73,7 @@ class LaurentSymbol:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LaurentSymbol":
-        coeffs = data["coeffs"]
-        return cls({int(n): complex(re, im) for n, (re, im) in coeffs.items()})
+        return cls({int(n): require_pair(v, "coefficient") for n, v in data["coeffs"].items()})
 
     @classmethod
     def from_json(cls, text: str) -> "LaurentSymbol":

@@ -19,7 +19,9 @@ from functools import cached_property
 import numpy as np
 
 from .conjugation import Conjugation, phase_diagonal
-from .core import ConjtoepError, Tolerance, DEFAULT_TOLERANCE, decide, require_coefficient
+from .core import (
+    ConjtoepError, Tolerance, DEFAULT_TOLERANCE, decide, require_coefficient, require_integer, require_pair
+)
 from .hardy import TruncatedOperator, toeplitz_gather
 from .symmetry import diagonal_definition_defect
 
@@ -83,15 +85,12 @@ class PolySymbol:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PolySymbol":
-        """Parse ``{"d": int, "coeffs": {"k1,...,kd": [re, im]}}``; ``d`` must
-        be a JSON integer, never a float, boolean or string coerced to one."""
-        d = data["d"]
-        if type(d) is not int:
-            raise ConjtoepError(f"d must be an integer, got {d!r}")
-        coeffs = {}
-        for key, (re, im) in data["coeffs"].items():
-            idx = tuple(int(part) for part in key.split(","))
-            coeffs[idx] = complex(re, im)
+        """Parse ``{"d": int, "coeffs": {"k1,...,kd": [re, im]}}``."""
+        d = require_integer(data["d"], "d")
+        coeffs = {
+            tuple(int(part) for part in key.split(",")): require_pair(v, "coefficient")
+            for key, v in data["coeffs"].items()
+        }
         return cls(d, coeffs)
 
     @classmethod

@@ -30,7 +30,7 @@ remaining ambiguity band degrade to ``inconclusive`` rather than guessing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -145,10 +145,7 @@ class SymmetryReport:
             "verdicts": dict(self.verdicts),
             "residuals": {k: float(v) for k, v in self.residuals.items()},
             "window": [self.window, self.window],
-            "tolerance": {
-                "absolute": self.tolerance.absolute,
-                "relative": self.tolerance.relative,
-            },
+            "tolerance": asdict(self.tolerance),
             "tail_bound": float(self.tail_bound),
             "degree": self.degree,
             "work_degree": self.work_degree,

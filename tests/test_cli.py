@@ -13,12 +13,14 @@ import pytest
 
 import conjtoep
 import conjtoep.cli as cli
+import conjtoep.composition as composition
 import conjtoep.conjugation as conjugation
 import conjtoep.symmetry as symmetry
 from conjtoep.cli import (
     EXIT_BAD_INPUT,
     EXIT_DISAGREEMENT,
     EXIT_FAIL,
+    EXIT_INCONCLUSIVE,
     EXIT_INVARIANT,
     EXIT_IOERR,
     EXIT_PASS,
@@ -79,6 +81,17 @@ def test_check_constant_with_composition(capsys):
     )
     assert code == EXIT_PASS
     assert payload["work_degree"] >= payload["degree"]
+
+
+def test_check_exits_2_when_padding_is_capped(capsys, monkeypatch):
+    # as in test_run_all_inconclusive_when_padding_is_capped: the windowed
+    # products cannot certify below the tail left at the capped degree
+    monkeypatch.setattr(composition, "PAD_LIMIT", 48)
+    conj = '{"family": "composition", "alpha": [0.6, 0]}'
+    code, payload = run(capsys, "check", "--symbol", '{"coeffs": {"0": [5, 0]}}', "--conj", conj)
+    assert code == EXIT_INCONCLUSIVE
+    assert payload["verdicts"]["definition"] == "inconclusive"
+    assert payload["verdicts"]["coefficient_equations"] == "pass"
 
 
 def test_factor_canonical(capsys):
@@ -335,6 +348,36 @@ def test_check_poly_non_integer_dimension_exits_65(capsys):
         assert "d must be an integer" in captured.err
 
 
+POLY_SYMBOL = '{"d": 2, "coeffs": {"1,0": [1, 0], "-1,0": [-1, 0]}}'
+ALPHA_DIAG = '{"family": "alpha_diag", "alphas": [[0, 1], [1, 0]], "period": %s}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--symbol", Z_MINUS_ZBAR,
+         "--conj", '{"family": "theta_xi", "theta": "3.141592653589793", "xi": false}'],
+        ["check-poly", "--symbol", POLY_SYMBOL, "--box", "2,2",
+         "--conj", '{"family": "poly_theta_xi", "theta": ["3.141592653589793", true], "xi": [0, 0]}'],
+        ["check", "--symbol", '{"coeffs": {"0": [true, 0]}}', "--conj", THETA_PI],
+        ["check-finite", "--symbol", '{"N": 2, "a": {"0": [true, 0]}}', "--conj", '{"family": "toeplitz"}'],
+        ["check", "--symbol", Z_MINUS_ZBAR, "--conj", ALPHA_DIAG % "1.5"],
+        ["check", "--symbol", Z_MINUS_ZBAR, "--conj", ALPHA_DIAG % "true"],
+        ["factor", "--conj", '{"family": "composition", "alpha": [0.5, null]}'],
+        ["scan-trigpoly", "--alpha", '{"alpha": ["0.5", 0]}'],
+    ],
+    ids=["theta_xi string and boolean", "poly phases", "check coefficient", "finite coefficient",
+         "period 1.5", "period true", "composition alpha", "scan alpha"],
+)
+def test_non_numbers_where_numbers_belong_exit_65(capsys, argv):
+    # never coerced into a phase, coefficient or period, nor left to crash
+    assert main(argv) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert " must be a" in captured.err
+
+
 def test_scan_trigpoly_small(capsys):
     code, payload = run(
         capsys,
@@ -354,6 +397,29 @@ def test_scan_trigpoly_even_grid_exits_0(capsys):
     code, payload = run(capsys, "scan-trigpoly", "--alpha", "0.5", "--grid-points", "4", "--degree", "12")
     assert code == EXIT_PASS
     assert payload["theorem_reproduced"] and payload["passing"] == []
+
+
+def test_scan_trigpoly_alpha_takes_at_most_two_parts(capsys):
+    for alpha in ("0.5,0.1,9", '{"alpha": [0.5, 0.1, 9]}'):
+        assert main(["scan-trigpoly", "--alpha", alpha, "--grid-points", "3"]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_reports_embed_the_flags_that_decide_them(capsys):
+    tolerance = {"absolute": 2e-12, "relative": 3e-10}
+    flags = ["--tol-abs", "2e-12", "--tol-rel", "3e-10"]
+    code, payload = run(
+        capsys, "scan-trigpoly", "--alpha", "0.5", "--grid-points", "3", "--grid-lo", "-0.5", "--grid-hi", "0.5",
+        "--degree", "12", *flags,
+    )
+    assert code == EXIT_PASS
+    assert payload["config"] == {
+        "degree": 12, "grid_points": 3, "grid_lo": -0.5, "grid_hi": 0.5, "tolerance": tolerance
+    }
+    code, payload = run(capsys, "xy", "--symbol", Z_MINUS_ZBAR, "--conj", THETA_PI, "--degree", "8", *flags)
+    assert code == EXIT_PASS
+    assert payload["config"]["tolerance"] == tolerance
 
 
 def test_check_finite_refuses_a_dense_conjugation(capsys):

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from conjtoep.core import (
+    FAIL,
+    INCONCLUSIVE,
+    PASS,
     ConjtoepError,
     Tolerance,
     WindowError,
+    decide,
     is_unitary_on_window,
     require_matrix,
 )
@@ -87,3 +91,28 @@ def test_random_symmetric_unitary_is_symmetric_unitary():
         assert np.max(np.abs(a - a.T)) < 1e-12
         ok, residual = is_unitary_on_window(a, n - 1)
         assert ok and residual < 1e-12
+
+
+@pytest.mark.parametrize(
+    "residual, tail, verdict",
+    [
+        # a tail within the threshold widens it
+        (1.4, 0.5, PASS),
+        (1.6, 0.5, FAIL),
+        # a tail above it leaves the band between threshold and threshold + tail open
+        (0.5, 2.0, PASS),
+        (2.0, 2.0, INCONCLUSIVE),
+        (3.5, 2.0, FAIL),
+    ],
+)
+def test_decide_outcomes(residual, tail, verdict):
+    assert decide(residual, 1.0, tail) == verdict
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("position", range(3))
+def test_decide_refuses_non_finite_input(bad, position):
+    args = [0.5, 1.0, 0.0]
+    args[position] = bad
+    with pytest.raises(ConjtoepError, match="non-finite"):
+        decide(*args)

@@ -1,9 +1,10 @@
 """Property tests of the symbol parsers (exact JSON round trips of finite
 coefficients, refusal of non-finite ones on construction), of the CLI's
-exit codes over malformed JSON specs, and of the criterion suite (one index
-window for all six checks, exact on banded conjugations, and no verdict from
-overflowed arithmetic), and of the polydisc shift-tuple diagnostics against
-their dense oracle on diagonals that are not unimodular."""
+exit codes over malformed JSON specs and over a non-number in place of a
+number, and of the criterion suite (one index window for all six checks,
+exact on banded conjugations, and no verdict from overflowed arithmetic),
+and of the polydisc shift-tuple diagnostics against their dense oracle on
+diagonals that are not unimodular."""
 
 import cmath
 import contextlib
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conjtoep.cli import main
@@ -170,12 +171,72 @@ def invocations(draw):
     return argv
 
 
+def quiet_main(argv):
+    """Exit code, stdout and stderr of one ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @given(invocations())
 def test_cli_exit_code_is_total_over_malformed_specs(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2, 64, 65), (code, argv, err.getvalue())
+    code, _, err = quiet_main(argv)
+    assert code in (0, 1, 2, 64, 65), (code, argv, err)
+
+
+def number_paths(value, path=()):
+    """Paths to the JSON numbers inside a spec."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return [leaf for key, inner in items for leaf in number_paths(inner, (*path, key))]
+    return [path] if type(value) in (int, float) else []
+
+
+def replaced(value, path, new):
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[head] = replaced(value[head], rest, new)
+    return copy
+
+
+@st.composite
+def non_number_invocations(draw):
+    """A well-formed invocation, and the same with one JSON number of its
+    symbol or conjugation replaced by a boolean, string or null."""
+    command = draw(st.sampled_from(sorted(SYMBOLS)))
+    conj = draw(st.sampled_from(CONJS))
+    specs = {"--conj": conj} if SYMBOLS[command] is None else {"--symbol": SYMBOLS[command], "--conj": conj}
+    leaves = [(flag, path) for flag, spec in specs.items() for path in number_paths(spec)]
+    assume(leaves)
+    flag, path = draw(st.sampled_from(leaves))
+    # a null period is no period
+    bad = draw(st.sampled_from([True, False, "1", "x"] + ([None] if path != ("period",) else [])))
+    extra = {"check-poly": ["--box", "2,2"], "check-finite": []}.get(command, ["--degree", "4"])
+
+    def argv(specs):
+        out = [command, *extra]
+        for key, spec in specs.items():
+            out += [key, json.dumps(spec)]
+        return out
+
+    return argv(specs), argv({**specs, flag: replaced(specs[flag], path, bad)})
+
+
+@given(non_number_invocations())
+def test_cli_refuses_a_non_number_where_a_number_belongs(pair):
+    # where the command takes the spec, the non-number alone is refused
+    # (65); where it refuses the spec's shape (64) it may do so first
+    clean, argv = pair
+    clean_code = quiet_main(clean)[0]
+    code, out, err = quiet_main(argv)
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    if clean_code in (0, 1, 2):
+        assert code == 65 and " must be a" in err, (argv, err)
+    else:
+        assert code in (clean_code, 65), (argv, err)
 
 
 angle = st.floats(0, 2 * math.pi)
