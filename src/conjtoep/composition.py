@@ -14,7 +14,8 @@ the row-by-row recurrence.  The tests check the matrix against that
 recurrence and against the power-series expansion of the entries.  One
 tail rule, the FFT-certified ``column_tails``, bounds what a truncation
 drops: dense checks read the recurrence at the first degree whose tail is
-small, and a truncated matrix's unitarity slack comes from the same tails.
+small, over only the leading columns their criteria read, and a truncated
+matrix's unitarity slack comes from the same tails.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ class CompositionParams:
     def __post_init__(self):
         a = complex(self.alpha)
         object.__setattr__(self, "alpha", a)
-        if a == 0 or abs(a) >= 1:
+        # written so that a NaN modulus is refused too
+        if not 0 < abs(a) < 1:
             raise ConjtoepError("alpha outside punctured disc")
 
 
@@ -128,15 +130,18 @@ def composition_matrix(params: CompositionParams, degree: int, cols: int | None 
 # there and may come back inconclusive.
 PAD_LIMIT = 4096
 
-# Widest default window of a dense plan.  Its band is at most its window, so
-# a default dense plan reads at most ``2 * DENSE_WINDOW + 3`` leading columns,
-# the width of every cached block.
+# Widest default window of a dense plan.  A plan reads ``window + max(band,
+# 1) + 1`` leading columns and a default one has band at most its window, so
+# it reads at most ``2 * DENSE_WINDOW + 1``, the width of every cached block.
 DENSE_WINDOW = 8
-_CACHED_COLUMNS = 2 * DENSE_WINDOW + 3
+_CACHED_COLUMNS = 2 * DENSE_WINDOW + 1
 
 _U, _U_EXT = (float(np.finfo(t).eps) / 2 for t in (np.float64, np.longdouble))
 # More samples than this leave the Cauchy terms of the tails unresolved.
 _MAX_SAMPLES = 1 << 14
+# Samples per batched FFT of ``column_tails``: its work arrays stay a few MiB
+# at any column count.
+_BATCH_SAMPLES = 1 << 16
 
 
 @lru_cache(maxsize=16)
@@ -182,8 +187,11 @@ def column_tails(alpha: complex, count: int) -> np.ndarray:
     roots of unity gives rows ``0..m-1`` up to the aliasing ``sum_p A[j + pm,
     k]`` (Henrici, SIAM Rev. 21, 1979); a tail is their suffix sum plus the
     Cauchy bounds on the aliasing and on the rows past ``m``, which the power
-    of two ``m`` brings to the unit round-off, plus round-off.  ``count``
-    must be positive."""
+    of two ``m`` brings to the unit round-off, plus round-off.  The samples
+    of successive columns are formed one after another in extended
+    precision and transformed in batches of at most ``_BATCH_SAMPLES``, one
+    FFT along the rows per batch, so memory stays O(m) at any ``count``.
+    ``count`` must be positive."""
     if count < 1:
         raise ConjtoepError("count must be positive")
     r = abs(alpha)
@@ -201,13 +209,22 @@ def column_tails(alpha: complex, count: int) -> np.ndarray:
     a = np.clongdouble(alpha)
     d = 1 - a.conjugate() * z
     b, s = (a.conjugate() / a) * (a - z) / d, np.sqrt(1 - np.longdouble(r) ** 2) / d
-    squares, norm = np.zeros(m), 0.0
-    for _ in range(count):
-        c = np.fft.fft(s.astype(np.complex128)) / m
-        suffix = np.cumsum(np.abs(c[::-1]) ** 2)[::-1]
-        norm = max(norm, math.sqrt(suffix[0]))
-        np.maximum(squares[:-1], suffix[1:], out=squares[:-1])
-        s *= b
+    # the largest sum of |c|^2 over the rows from j on, in every column read,
+    # kept last row first
+    sums = np.zeros(m)
+    batch = np.empty((min(count, max(1, _BATCH_SAMPLES // m)), m), dtype=np.complex128)
+    for first in range(0, count, batch.shape[0]):
+        samples = batch[: count - first]
+        # the extended-precision powers stay sequential, one column at a time
+        for row in samples:
+            row[:] = s
+            s *= b
+        power = np.abs(np.fft.fft(samples, axis=1)[:, ::-1])
+        power **= 2
+        np.maximum(sums, np.cumsum(power, axis=1).max(axis=0), out=sums)
+    # the coefficients are the transform over m, a power of two: exact scaling
+    suffix = sums[::-1] / float(m) ** 2
+    norm, squares = math.sqrt(suffix[0]), np.append(suffix[1:], 0.0)
     tails = np.minimum(np.sqrt(squares * (1 + m * _U)) + cauchy + norm * rounding, 1.0)
     tails.setflags(write=False)
     return tails

@@ -158,11 +158,12 @@ class SymmetryReport:
 class _Plan:
     """Shared working data for one (symbol, conjugation) instance.
 
-    ``a_work`` holds the leading ``window + max(band, 1) + 3`` columns of
-    the coefficient matrix at ``work_degree`` (all rows) and ``t_head`` the
-    Toeplitz truncation on those indices; products with the whole ``T`` go
-    through :func:`conjtoep.hardy.toeplitz_apply`, so no array a plan forms
-    is wider.
+    ``a_work`` holds the leading ``window + max(band, 1) + 1`` columns of
+    the coefficient matrix at ``work_degree`` (all rows), the columns the
+    criteria read: ``X(k)``/``Y(k)`` reach column ``window + max(band, 1)``
+    and the defect column ``window + 1``.  ``t_head`` is the Toeplitz
+    truncation on those indices; products with the whole ``T`` go through
+    :func:`conjtoep.hardy.toeplitz_apply`, so no array a plan forms is wider.
     """
 
     phi: LaurentSymbol
@@ -213,7 +214,7 @@ def _make_plan(phi: LaurentSymbol, conj: Conjugation, config: CheckConfig | None
     # band-0 and band-1 symbols read the same columns, so share a dense block
     cap = threshold / (2.0 * _TAIL_FACTOR * (window + 1) * scale)
     wide = max(band, 1)
-    a_work, work_degree, tail = working_coefficients(conj, cols=window + wide + 2, margin=wide + 1, cap=cap)
+    a_work, work_degree, tail = working_coefficients(conj, cols=window + wide, margin=wide + 1, cap=cap)
     if window + reach > work_degree:
         raise ExactnessError("exactness window violated")
 

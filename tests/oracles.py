@@ -129,6 +129,33 @@ def composition_recurrence(params, degree, cols=None):
     return out
 
 
+def column_tails_by_column(alpha, count):
+    """The certified column tails of ``conjtoep.composition.column_tails``,
+    one FFT, one suffix sum and one running maximum per column, at the same
+    sample count and with the same Cauchy and round-off terms."""
+    from conjtoep.composition import _MAX_SAMPLES, _U, _U_EXT
+
+    r = abs(alpha)
+    root = math.sqrt(r)
+    log_bound = math.log(math.sqrt(1 - r * r) / (1 - root)) + (count - 1) * math.log((1 + root + r) / root)
+    need = (log_bound - math.log(_U * math.sqrt(1 - r))) / -math.log(root)
+    m = min(_MAX_SAMPLES, max(64, 1 << math.ceil(math.log2(need))))
+    cauchy = math.exp(min(log_bound + m * math.log(root), 0.0)) * (1 + 1 / (1 - root**m)) / math.sqrt(1 - r)
+    rounding = _U * (1 + 7 * math.log2(m)) + 48 * count * _U_EXT / (1 - r)
+    z = np.exp(1j * ((8 * np.arctan(np.longdouble(1)) / m) * np.arange(m)))
+    a = np.clongdouble(alpha)
+    d = 1 - a.conjugate() * z
+    b, s = (a.conjugate() / a) * (a - z) / d, np.sqrt(1 - np.longdouble(r) ** 2) / d
+    squares, norm = np.zeros(m), 0.0
+    for _ in range(count):
+        c = np.fft.fft(s.astype(np.complex128)) / m
+        suffix = np.cumsum(np.abs(c[::-1]) ** 2)[::-1]
+        norm = max(norm, math.sqrt(suffix[0]))
+        np.maximum(squares[:-1], suffix[1:], out=squares[:-1])
+        s *= b
+    return np.minimum(np.sqrt(squares * (1 + m * _U)) + cauchy + norm * rounding, 1.0)
+
+
 def _truncated_convolve(f, g, terms):
     return np.convolve(f, g)[:terms]
 

@@ -596,6 +596,23 @@ def test_non_finite_symbol_exits_65(capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--symbol", '{"coeffs": {"0": [1, 0]}}', "--conj", '{"family": "composition", "alpha": [NaN, 0]}'],
+        ["scan-trigpoly", "--alpha", "nan", "--grid-points", "3"],
+    ],
+    ids=["check", "scan-trigpoly"],
+)
+def test_nan_alpha_exits_65(capsys, argv):
+    # a NaN alpha lies in no punctured disc; it is refused, not left to crash
+    assert main(argv) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "punctured disc" in captured.err
+
+
 def test_alpha_diag_asymmetry_fails_in_every_criterion(capsys):
     # the phases alpha_k^2 are -1, 1, 1, ...: the symmetry relations hold on
     # rows 0..1 and break from row 2 on, inside the window 0..3 that every

@@ -18,7 +18,7 @@ from conjtoep.core import ConjtoepError, Tolerance
 from conjtoep.hardy import LaurentSymbol
 from conjtoep.symmetry import PASS, CheckConfig, run_all
 
-from oracles import composition_recurrence, u_entry_oracle
+from oracles import column_tails_by_column, composition_recurrence, traced_peak, u_entry_oracle
 
 
 ALPHAS = [0.3, 0.5 * np.exp(1j * np.pi / 4), 0.7j]
@@ -29,6 +29,9 @@ def test_params_validation():
         CompositionParams(0)
     with pytest.raises(ConjtoepError, match="punctured disc"):
         CompositionParams(1.0)
+    for value in (complex(math.nan, 0), complex(0.5, math.nan), complex(math.inf, 0)):
+        with pytest.raises(ConjtoepError, match="punctured disc"):
+            CompositionParams(value)
 
 
 def test_first_row_is_scaled_kernel_coefficients():
@@ -77,8 +80,8 @@ def test_small_alpha_limit_is_alternating_diagonal():
 
 def test_narrow_blocks_are_the_full_matrix_columns():
     # the recurrence stopped after a few columns gives those columns bit for
-    # bit, on the cached path (19 columns) and on the wide path, on both
-    # sides of a block edge of the kernel
+    # bit, on the cached path (17 columns, at least the 11 the benchmark
+    # samples) and on the wide path, on both sides of a block edge of the kernel
     edge = composition._BLOCK_ROWS
     for alpha in (0.3, 0.6 * np.exp(2j), -0.85 + 0.1j, 0.97j):
         for degree in (0, 7, edge - 2, edge - 1, edge, 40, 2 * edge - 1, 2 * edge, 300):
@@ -87,10 +90,11 @@ def test_narrow_blocks_are_the_full_matrix_columns():
                 block = composition_matrix(CompositionParams(alpha), degree, cols)
                 assert np.array_equal(block, full[:, :cols])
             cached = composition._cached_composition_matrix(complex(alpha), degree)
-            assert cached.shape == (degree + 1, min(19, degree + 1)) and not cached.flags.writeable
-            assert np.array_equal(cached, full[:, :19])
+            assert cached.shape == (degree + 1, min(17, degree + 1)) and not cached.flags.writeable
+            assert np.array_equal(cached, full[:, :17])
             assert np.array_equal(composition._leading_columns(complex(alpha), degree, 24), full[:, :24])
     assert composition._cached_composition_matrix.cache_info().maxsize == 16
+    assert composition._CACHED_COLUMNS >= 11
 
 
 def test_blocked_kernel_matches_the_row_by_row_recurrence():
@@ -151,20 +155,40 @@ def test_column_tails_refuse_an_empty_count():
             column_tails(0.5, count)
 
 
+def test_batched_tails_match_the_column_by_column_loop():
+    # one FFT per batch of columns gives the tails of one FFT per column,
+    # within the round-off of the transform
+    rng = np.random.default_rng(17)
+    for r in (0.05, 0.3, 0.5, 0.7, 0.81, 0.88, 0.92, 0.95, 0.97):
+        alpha = complex(r * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        for count in range(1, 21):
+            got, want = column_tails(alpha, count), column_tails_by_column(alpha, count)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-15 * want), (alpha, count)
+
+
+def test_tails_of_many_columns_stay_small_in_memory():
+    # the 900 columns factor's unitarity slack can ask for at |alpha| = 0.97,
+    # on the largest sample count, are measured a batch at a time
+    composition.column_tails.cache_clear()
+    tails, peak = traced_peak(lambda: column_tails(0.97, 900))
+    assert tails.size == composition._MAX_SAMPLES and peak < 8 * 2**20
+
+
 def test_padded_tails_are_measured_once_per_degree(monkeypatch):
-    # the tails of one (alpha, column count) are measured once, one FFT per
-    # column, for every degree; a second decision ends on the same block,
-    # degree and tail
+    # the tails of one (alpha, column count) are measured once, one batched
+    # FFT over the 12 columns, for every degree; a second decision ends on
+    # the same block, degree and tail
     composition.column_tails.cache_clear()
     conj = materialize(Composition(0.83 - 0.2j), 24)
     calls = []
     real = np.fft.fft
-    monkeypatch.setattr(np.fft, "fft", lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(np.fft, "fft", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     first = working_coefficients(conj, cols=11, margin=2, cap=1e-12)
-    assert len(calls) == 12
+    assert len(calls) == 1
     again = working_coefficients(conj, cols=11, margin=2, cap=1e-12)
     looser = working_coefficients(conj, cols=11, margin=3, cap=1e-9)
-    assert len(calls) == 12 and composition.column_tails.cache_info().misses == 1
+    assert len(calls) == 1 and composition.column_tails.cache_info().misses == 1
     assert again[1:] == first[1:] and np.shares_memory(again[0], first[0])
     assert looser[1] < first[1]
 

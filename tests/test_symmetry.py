@@ -6,6 +6,7 @@ import pytest
 
 import conjtoep.composition as composition
 import conjtoep.hardy as hardy
+import conjtoep.symmetry as symmetry
 from conjtoep.composition import CompositionParams, composition_matrix
 from conjtoep.conjugation import (
     AlphaDiagonal,
@@ -311,7 +312,7 @@ def test_no_plan_builds_the_shift(monkeypatch):
 
 
 def test_wide_user_window_matches_the_dense_oracle():
-    # a user window past the cached 19 columns builds its own block; the
+    # a user window past the cached 17 columns builds its own block; the
     # verdicts are those of the products with the whole padded matrices
     rng = np.random.default_rng(12)
     verdicts = set()
@@ -326,7 +327,7 @@ def test_wide_user_window_matches_the_dense_oracle():
         conj = materialize(Composition(alpha), 40)
         config = CheckConfig(degree=40, window=window)
         plan = _make_plan(phi, conj, config)
-        assert plan.a_work.shape[1] == window + max(phi.band, 1) + 3 > 19
+        assert plan.a_work.shape[1] == window + max(phi.band, 1) + 1 > 17
         a = composition_matrix(CompositionParams(alpha), plan.work_degree)
         t = toeplitz_matrix(phi, plan.work_degree).matrix
         idx = np.arange(window + 1)
@@ -344,22 +345,72 @@ def test_wide_user_window_matches_the_dense_oracle():
     assert verdicts == {PASS, FAIL}
 
 
+def test_default_plans_and_narrow_user_windows_share_the_cached_blocks():
+    # every default-window plan (band up to the window, 8) and every band-1
+    # user window up to 15 reads its block from the shared cache, so a second
+    # sweep over them on one alpha builds no block
+    composition._cached_composition_matrix.cache_clear()
+    composition._wide_composition_matrix.cache_clear()
+    rng = np.random.default_rng(23)
+    symbols = [LaurentSymbol({m: complex(*rng.standard_normal(2)) for m in range(-b, b + 1)}) for b in range(9)]
+    cases = [(phi, None) for phi in symbols] + [(symbols[1], window) for window in range(9, 16)]
+    conj = materialize(Composition(0.6 * cmath.exp(2j)), 32)
+    for sweep in range(2):
+        for phi, window in cases:
+            run_all(phi, conj, CheckConfig(degree=32, window=window))
+        if sweep == 0:
+            built = composition._cached_composition_matrix.cache_info().misses
+    assert composition._cached_composition_matrix.cache_info().misses == built
+    assert composition._wide_composition_matrix.cache_info().misses == 0
+
+
 def test_dense_plan_memory_stays_narrow():
-    # at |alpha| = 0.97 the plan pads to degree 2048, where one square
-    # complex array takes 67 MB; a spec at degree 3000 is not padded, and its
+    # at |alpha| = 0.97 the plan pads to degree 1867, where one square
+    # complex array takes 56 MB; a spec at degree 3000 is not padded, and its
     # whole matrix would take 137 MiB
     composition._cached_composition_matrix.cache_clear()
     composition.column_tails.cache_clear()
     phi = LaurentSymbol({-1: 0.3, 0: 1.0, 1: 0.2j})
-    for conj, degree, work_degree in [(materialize(Composition(0.97), 32), 32, 2048), (Composition(0.5), 3000, 3000)]:
+    for conj, degree, work_degree in [(materialize(Composition(0.97), 32), 32, 1867), (Composition(0.5), 3000, 3000)]:
         report, peak = traced_peak(lambda: run_all(phi, conj, CheckConfig(degree=degree)))
         assert report.work_degree == work_degree
         assert peak < 8 * 2**20
 
 
+def test_no_criterion_reads_past_the_plan_columns(monkeypatch):
+    # a writable copy of a plan's block with every column past window +
+    # max(band, 1) NaN, and two NaN columns more than the block has, leaves
+    # every residual as it was, dense and banded, bands 0-3, default and user
+    # windows: no criterion reads a column whose tail the padding did not
+    # certify, and a slice past the block's edge would read NaN, not stop
+    rng = np.random.default_rng(41)
+    real = symmetry.working_coefficients
+    for band in range(4):
+        phi = LaurentSymbol({m: complex(*rng.standard_normal(2)) for m in range(-band, band + 1)})
+        columns = np.zeros((33, 3), dtype=complex)
+        columns[:3] = random_unitary(3, rng)
+        for spec in (Composition(0.7 * cmath.exp(1j * band)), FromBasis(BasisSpec(columns, 32))):
+            conj = materialize(spec, 32)
+            for window in (None, 12):
+                config = CheckConfig(degree=32, window=window)
+                want = run_all(phi, conj, config)
+                keep = want.window + max(band, 1) + 1
+
+                def poisoned(*args, **kwargs):
+                    block, degree, tail = real(*args, **kwargs)
+                    copy = np.full((block.shape[0], max(block.shape[1], keep) + 2), np.nan, dtype=block.dtype)
+                    copy[:, :keep] = block[:, :keep]
+                    return copy, degree, tail
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(symmetry, "working_coefficients", poisoned)
+                    got = run_all(phi, conj, config)
+                assert got.residuals == want.residuals, (band, conj.label, window)
+
+
 def test_plans_gather_only_the_toeplitz_head(monkeypatch):
-    # T is gathered on the leading window + band + 3 indices only, and no
-    # plan asks for the whole padded composition matrix
+    # T is gathered on the leading window + max(band, 1) + 1 indices only,
+    # and no plan asks for the whole padded composition matrix
     gather, build = hardy.toeplitz_gather, composition.composition_matrix
     limit = {}
 
@@ -385,7 +436,7 @@ def test_plans_gather_only_the_toeplitz_head(monkeypatch):
     for spec, window, coeffs in cases:
         phi = LaurentSymbol(coeffs)
         conj = materialize(spec, 40)
-        limit["modes"] = min(8 if window is None else window, 40 - phi.band - 2) + phi.band + 3 + 2
+        limit["modes"] = min(8 if window is None else window, 40 - phi.band - 2) + max(phi.band, 1) + 1
         with monkeypatch.context() as patch:
             patch.setattr(hardy, "toeplitz_gather", narrow_gather)
             patch.setattr(composition, "composition_matrix", narrow_build)
