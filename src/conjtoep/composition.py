@@ -139,9 +139,9 @@ _CACHED_COLUMNS = 2 * DENSE_WINDOW + 1
 _U, _U_EXT = (float(np.finfo(t).eps) / 2 for t in (np.float64, np.longdouble))
 # More samples than this leave the Cauchy terms of the tails unresolved.
 _MAX_SAMPLES = 1 << 14
-# Samples per batched FFT of ``column_tails``: its work arrays stay a few MiB
-# at any column count.
-_BATCH_SAMPLES = 1 << 16
+# Samples per batched FFT of ``column_tails``: its two work buffers stay
+# under 1 MiB at any column count.
+_BATCH_SAMPLES = 1 << 15
 
 
 @lru_cache(maxsize=16)
@@ -190,7 +190,8 @@ def column_tails(alpha: complex, count: int) -> np.ndarray:
     of two ``m`` brings to the unit round-off, plus round-off.  The samples
     of successive columns are formed one after another in extended
     precision and transformed in batches of at most ``_BATCH_SAMPLES``, one
-    FFT along the rows per batch, so memory stays O(m) at any ``count``.
+    in-place FFT along the rows per batch, in two buffers every batch
+    reuses, so memory stays O(m) at any ``count``.
     ``count`` must be positive."""
     if count < 1:
         raise ConjtoepError("count must be positive")
@@ -212,16 +213,21 @@ def column_tails(alpha: complex, count: int) -> np.ndarray:
     # the largest sum of |c|^2 over the rows from j on, in every column read,
     # kept last row first
     sums = np.zeros(m)
-    batch = np.empty((min(count, max(1, _BATCH_SAMPLES // m)), m), dtype=np.complex128)
-    for first in range(0, count, batch.shape[0]):
-        samples = batch[: count - first]
+    rows = min(count, max(1, _BATCH_SAMPLES // m))
+    # every batch reuses one buffer of samples, transformed in place, and one
+    # of their squared moduli, so no batch allocates and frees its own arrays
+    batch, moduli = np.empty((rows, m), dtype=np.complex128), np.empty((rows, m))
+    for first in range(0, count, rows):
+        samples, power = batch[: count - first], moduli[: count - first]
         # the extended-precision powers stay sequential, one column at a time
         for row in samples:
             row[:] = s
             s *= b
-        power = np.abs(np.fft.fft(samples, axis=1)[:, ::-1])
+        np.fft.fft(samples, axis=1, out=samples)
+        np.abs(samples[:, ::-1], out=power)
         power **= 2
-        np.maximum(sums, np.cumsum(power, axis=1).max(axis=0), out=sums)
+        np.cumsum(power, axis=1, out=power)
+        np.maximum(sums, power.max(axis=0), out=sums)
     # the coefficients are the transform over m, a power of two: exact scaling
     suffix = sums[::-1] / float(m) ** 2
     norm, squares = math.sqrt(suffix[0]), np.append(suffix[1:], 0.0)
